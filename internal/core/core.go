@@ -18,6 +18,7 @@ import (
 
 	"segbus/internal/analyze"
 	"segbus/internal/emulator"
+	"segbus/internal/emulator/pool"
 	"segbus/internal/m2t"
 	"segbus/internal/obs"
 	"segbus/internal/parallel"
@@ -231,22 +232,21 @@ type Ranked struct {
 	Err       error
 }
 
-// Explore estimates every candidate configuration concurrently and
-// returns the outcomes in candidate order together with a rendered
-// ranking table of the successful ones (fastest first). workers <= 0
-// selects one worker per CPU.
+// Explore estimates every candidate configuration concurrently on
+// pooled machines and returns the outcomes in candidate order together
+// with a rendered ranking table of the successful ones (fastest
+// first). workers <= 0 selects one worker per CPU.
 func Explore(m *psdf.Model, candidates []Candidate, workers int) ([]Ranked, string) {
-	jobs := make([]parallel.Job, len(candidates))
-	for i, c := range candidates {
-		jobs[i] = parallel.Job{Label: c.Label, Model: m, Platform: c.Platform}
-	}
-	results := parallel.Run(jobs, parallel.Options{Workers: workers})
+	machines := pool.ForWorkers(workers)
 	out := make([]Ranked, len(candidates))
+	parallel.StealRun(len(candidates), parallel.StealOptions{Workers: workers}, func(i int) {
+		r, err := machines.Run(m, candidates[i].Platform, emulator.Config{})
+		out[i] = Ranked{Candidate: candidates[i], Report: r, Err: err}
+	})
 	var rows []stats.ConfigResult
-	for i, r := range results {
-		out[i] = Ranked{Candidate: candidates[i], Report: r.Report, Err: r.Err}
+	for _, r := range out {
 		if r.Err == nil {
-			rows = append(rows, stats.RowFromReport(r.Label, r.Report))
+			rows = append(rows, stats.RowFromReport(r.Candidate.Label, r.Report))
 		}
 	}
 	return out, stats.RankTable(rows)

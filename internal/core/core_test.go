@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"segbus/internal/apps"
+	"segbus/internal/emulator"
 	"segbus/internal/place"
 	"segbus/internal/platform"
 	"segbus/internal/psdf"
@@ -271,5 +273,52 @@ func TestExploreIsolatesFailures(t *testing.T) {
 	best, err := Best(ranked)
 	if err != nil || best.Candidate.Label != "good" {
 		t.Errorf("Best = %v, %v", best.Candidate.Label, err)
+	}
+}
+
+// TestExploreMatchesFreshRuns pins the pooled batch path to fresh
+// emulations on mixed platform shapes. Every report is compared only
+// after the whole batch has finished, so a report that aliased a
+// machine reused after its return to the pool would show up here. The
+// failing candidate must keep its exact error text, in place.
+func TestExploreMatchesFreshRuns(t *testing.T) {
+	m := apps.MP3Model()
+	var cands []Candidate
+	for _, size := range []int{12, 18, 36} {
+		for _, p := range []*platform.Platform{apps.MP3Platform1(size), apps.MP3Platform2(size), apps.MP3Platform3(size)} {
+			cands = append(cands, Candidate{Label: fmt.Sprintf("%s/s=%d", p.Name, size), Platform: p})
+		}
+	}
+	bad := apps.MP3Platform3(36)
+	bad.PackageSize = -5 // rejected by validation
+	cands = append(cands[:4], append([]Candidate{{Label: "bad", Platform: bad}}, cands[4:]...)...)
+
+	for _, workers := range []int{1, 3} {
+		ranked, _ := Explore(m, cands, workers)
+		if len(ranked) != len(cands) {
+			t.Fatalf("workers=%d: %d outcomes for %d candidates", workers, len(ranked), len(cands))
+		}
+		for i, r := range ranked {
+			if r.Candidate.Label != cands[i].Label {
+				t.Fatalf("workers=%d: outcome %d is %q, want %q", workers, i, r.Candidate.Label, cands[i].Label)
+			}
+			want, wantErr := emulator.Run(m, cands[i].Platform, emulator.Config{})
+			if wantErr != nil {
+				if r.Err == nil || r.Err.Error() != wantErr.Error() {
+					t.Errorf("workers=%d %s: err %v, want %v", workers, r.Candidate.Label, r.Err, wantErr)
+				}
+				continue
+			}
+			if r.Err != nil {
+				t.Errorf("workers=%d %s: %v", workers, r.Candidate.Label, r.Err)
+				continue
+			}
+			if !reflect.DeepEqual(r.Report, want) {
+				t.Errorf("workers=%d %s: pooled report differs from a fresh run", workers, r.Candidate.Label)
+			}
+		}
+		if ranked[4].Err == nil {
+			t.Errorf("workers=%d: invalid candidate reported success", workers)
+		}
 	}
 }

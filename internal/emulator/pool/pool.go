@@ -7,8 +7,9 @@
 // The pool began life inside internal/serve as the leader path's
 // construction-cost killer; it lives here so every repeated-emulation
 // workload — the serving stack, the design-space explorer, the sweep
-// curves — shares one implementation instead of constructing fresh
-// machines per candidate.
+// curves, core.Explore's rankings — shares one implementation instead
+// of constructing fresh machines per candidate. Batch callers use Run,
+// one call per candidate.
 //
 // Correctness never depends on the pool: Machine.Run rebuilds every
 // piece of run-affecting state from the request's own models, and the
@@ -26,6 +27,8 @@
 package pool
 
 import (
+	"fmt"
+	"runtime"
 	"strconv"
 	"sync"
 
@@ -93,6 +96,16 @@ func New(o Options) *Pool {
 	}
 }
 
+// ForWorkers returns a pool for a batch run on the given number of
+// workers: each shape keeps one warm machine per worker, and
+// workers <= 0 selects GOMAXPROCS, matching parallel.StealRun.
+func ForWorkers(workers int) *Pool {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return New(Options{PerKey: workers})
+}
+
 // ShapeKey bins a request by the structural sizes that drive the
 // machine's storage: segment count, per-segment FU counts and flow
 // count. Two requests with equal keys allocate identically-shaped
@@ -150,6 +163,24 @@ func (p *Pool) Put(key string, mc *emulator.Machine) {
 	}
 	p.free[key] = append(ms, mc)
 	p.mu.Unlock()
+}
+
+// Run emulates m on plat on a machine checked out for their shape and
+// returns the machine afterwards. A panic during the run becomes the
+// returned error and the machine is dropped rather than returned —
+// Reset is total, but a machine whose run tore a hole in the stack is
+// not worth salvaging.
+func (p *Pool) Run(m *psdf.Model, plat *platform.Platform, cfg emulator.Config) (r *emulator.Report, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			r, err = nil, fmt.Errorf("pool: emulation panicked: %v", v)
+		}
+	}()
+	key := ShapeKey(m, plat)
+	mc, _ := p.Get(key)
+	r, err = mc.Run(m, plat, cfg)
+	p.Put(key, mc)
+	return r, err
 }
 
 // Stats returns the pool's current occupancy (shapes binned, machines

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"segbus/internal/apps"
+	"segbus/internal/emulator"
 	"segbus/internal/obs"
 )
 
@@ -102,5 +103,43 @@ func TestConcurrentCheckout(t *testing.T) {
 	shapes, _ := p.Stats()
 	if shapes > 8 {
 		t.Errorf("shape budget exceeded: %d", shapes)
+	}
+}
+
+// panicObserver blows up on the first stage start, mid-run.
+type panicObserver struct{}
+
+func (panicObserver) StageStarted(int, int64)               { panic("observer failure") }
+func (panicObserver) TransferGranted(int, int64)            {}
+func (panicObserver) PackageDelivered(int, int, int, int64) {}
+
+// TestRunRecoversPanics pins Run's failure isolation: a panic becomes
+// that call's error, a sibling run still succeeds, and a machine whose
+// run panicked is dropped instead of going back on the free list.
+func TestRunRecoversPanics(t *testing.T) {
+	reg := obs.NewRegistry()
+	hits, misses := reg.Counter("pool_hits"), reg.Counter("pool_misses")
+	p := New(Options{Hits: hits, Misses: misses})
+	m := apps.MP3Model()
+
+	if r, err := p.Run(m, nil, emulator.Config{}); err == nil || r != nil {
+		t.Fatalf("nil platform: report %v, err %v; want an error", r, err)
+	}
+	if _, err := p.Run(m, apps.MP3Platform3(36), emulator.Config{}); err != nil {
+		t.Fatalf("sibling run failed: %v", err)
+	}
+	// The warm machine is checked out (a hit) and panics mid-run.
+	if r, err := p.Run(m, apps.MP3Platform3(36), emulator.Config{Observer: panicObserver{}}); err == nil || r != nil {
+		t.Fatalf("panicking run: report %v, err %v; want an error", r, err)
+	}
+	if _, machines := p.Stats(); machines != 0 {
+		t.Errorf("%d machines free after the panicking run, want 0 (dropped)", machines)
+	}
+	// So the next run of that shape must construct a machine again.
+	if _, err := p.Run(m, apps.MP3Platform3(36), emulator.Config{}); err != nil {
+		t.Fatal(err)
+	}
+	if hits.Value() != 1 || misses.Value() != 2 {
+		t.Errorf("hits=%d misses=%d, want 1 and 2", hits.Value(), misses.Value())
 	}
 }

@@ -249,7 +249,7 @@ func Run(m *psdf.Model, space *Space, opts Options) (*Result, error) {
 	})
 
 	// Stage 2: waves of prune-then-emulate on pooled machines.
-	machines := pool.New(pool.Options{PerKey: poolSizeFor(opts.Workers)})
+	machines := pool.ForWorkers(opts.Workers)
 	var emulateNs, powerNs atomic.Int64
 	var emulatedIdx []int
 	var arch archive
@@ -282,10 +282,7 @@ func Run(m *psdf.Model, space *Space, opts Options) (*Result, error) {
 			i := wave[k]
 			pt := &res.Points[i]
 			start := time.Now()
-			key := pool.ShapeKey(m, pt.Platform)
-			mc, _ := machines.Get(key)
-			report, err := mc.Run(m, pt.Platform, emulator.Config{})
-			machines.Put(key, mc)
+			report, err := machines.Run(m, pt.Platform, emulator.Config{})
 			pt.Stage.Emulate = time.Since(start).Nanoseconds()
 			emulateNs.Add(pt.Stage.Emulate)
 			if err != nil {
@@ -351,15 +348,6 @@ func Run(m *psdf.Model, space *Space, opts Options) (*Result, error) {
 	metrics.StagePower.Set(float64(res.Timing.Power))
 	opts.Heartbeat.Final(int(done.Load()), int(failed.Load()))
 	return res, nil
-}
-
-// poolSizeFor sizes the machine pool's per-shape free list to the
-// effective worker count.
-func poolSizeFor(workers int) int {
-	if workers > 0 {
-		return workers
-	}
-	return 0 // pool default
 }
 
 // paretoFront returns the indices of the non-dominated emulated

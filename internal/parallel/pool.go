@@ -1,3 +1,24 @@
+// Package parallel holds the two ways this repository spends
+// concurrency.
+//
+// The paper's Java emulator used one thread per platform element to
+// mimic hardware concurrency inside a single run. This Go
+// implementation makes the opposite trade: one emulation run is a
+// deterministic sequential discrete-event simulation (bit-identical
+// results on every run — something the thread-pool design could not
+// guarantee), and the concurrency budget is spent one level up, on
+// many runs at once:
+//
+//   - StealRun evaluates a batch on a deterministic work-stealing
+//     scheduler. Every batch of candidate configurations runs on it —
+//     core.Explore's rankings, the sweep curves and the design-space
+//     explorer's waves — each task emulating one candidate on a
+//     machine checked out of an emulator pool and writing only its own
+//     result slot, so output is in candidate order and each
+//     candidate's failure stays its own.
+//   - Pool rations concurrency for serving, where requests arrive over
+//     time rather than as one batch: bounded worker slots, a bounded
+//     admission queue that fails fast when full, and a graceful drain.
 package parallel
 
 import (
@@ -13,9 +34,9 @@ import (
 // channel capacities matter.
 type poolToken = struct{}
 
-// Pool is the long-lived counterpart of Run: a bounded set of worker
-// slots plus a bounded admission queue, built for serving workloads
-// where requests arrive over time instead of as one batch.
+// Pool is the long-lived counterpart of StealRun: a bounded set of
+// worker slots plus a bounded admission queue, built for serving
+// workloads where requests arrive over time instead of as one batch.
 //
 // Admission is two-staged. Submit first claims an admission token
 // (workers + queue depth of them exist); when none is free the pool is

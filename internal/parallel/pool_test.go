@@ -136,45 +136,6 @@ func TestPoolDefaults(t *testing.T) {
 	}
 }
 
-func TestRunContextCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	results := Run(jobs(5), Options{Workers: 2, Context: ctx})
-	for i, r := range results {
-		if !errors.Is(r.Err, context.Canceled) {
-			t.Errorf("job %d ran despite cancelled context: %v", i, r.Err)
-		}
-	}
-}
-
-func TestRunContextMidway(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	js := jobs(8)
-	var cancelled atomic.Bool
-	results := Run(js, Options{
-		Workers: 1,
-		Context: ctx,
-		Progress: func(r Result) {
-			// Cancel after the first completed job; with one worker the
-			// remaining queue must be skipped.
-			if !cancelled.Swap(true) {
-				cancel()
-			}
-		},
-	})
-	var ran, skipped int
-	for _, r := range results {
-		if errors.Is(r.Err, context.Canceled) {
-			skipped++
-		} else if r.Err == nil {
-			ran++
-		}
-	}
-	if ran == 0 || skipped == 0 {
-		t.Fatalf("ran=%d skipped=%d; want both non-zero", ran, skipped)
-	}
-}
-
 // TestPoolBatchFanOutSaturation is the batch fan-out regression: a
 // concurrent burst of exactly workers+queue blocking submissions must
 // all be admitted (no admission token lost to a racing rejection),

@@ -2,7 +2,7 @@ package parallel
 
 // Deterministic work stealing.
 //
-// The channel-fed pool in Run hands jobs to whichever worker asks
+// A channel-fed worker pool hands jobs to whichever worker asks
 // first — fine when every job costs about the same, wasteful when a
 // design-space wave mixes 50 µs candidates with 5 ms ones: the cheap
 // jobs drain early and their workers idle behind one straggler's
@@ -16,10 +16,11 @@ package parallel
 // writes only to its own index's slot, so the merged result is a pure
 // function of the task function alone. Callers that need byte-stable
 // output across -workers values (the explorer's Pareto front, the
-// sweep curves) get it by keeping each task's work independent of its
-// siblings — which the emulator guarantees, one run being a sealed
-// deterministic simulation. The seed exists so the *schedule* itself
-// is reproducible for profiling, not to protect the results.
+// sweep curves, core.Explore's rankings) get it by keeping each task's
+// work independent of its siblings — which the emulator guarantees,
+// one run being a sealed deterministic simulation. The seed exists so
+// the *schedule* itself is reproducible for profiling, not to protect
+// the results.
 
 import (
 	"math/rand"

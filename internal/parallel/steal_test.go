@@ -2,18 +2,13 @@ package parallel
 
 // Work-stealing scheduler contract: every index runs exactly once for
 // any worker count, results merged by index are identical across
-// worker counts, stealing actually happens under a skewed cost
-// distribution, and RunPooled's results are byte-equivalent to Run's.
+// worker counts, and stealing actually happens under a skewed cost
+// distribution.
 
 import (
-	"bytes"
-	"encoding/json"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"segbus/internal/apps"
-	"segbus/internal/emulator"
 )
 
 func TestStealRunExactlyOnce(t *testing.T) {
@@ -96,49 +91,5 @@ func TestStealDeque(t *testing.T) {
 	d2 := &stealDeque{}
 	if got := d2.stealHead(); got != nil {
 		t.Fatalf("stealHead of empty deque = %v, want nil", got)
-	}
-}
-
-// TestRunPooledMatchesRun pins RunPooled's results byte-identical to
-// the fresh-machine pool on a mixed-shape job list, including an
-// invalid job whose error must survive in place.
-func TestRunPooledMatchesRun(t *testing.T) {
-	m := apps.MP3Model()
-	var jobs []Job
-	for _, size := range []int{36, 18, 12} {
-		jobs = append(jobs, SweepPackageSizes("mp3", m, apps.MP3Platform3(36), []int{size}, emulator.Config{})...)
-		jobs = append(jobs, SweepPackageSizes("mp3-2seg", m, apps.MP3Platform2(36), []int{size}, emulator.Config{})...)
-	}
-	// An infeasible job: package size rejected by validation.
-	bad := apps.MP3Platform3(36)
-	bad.PackageSize = -5
-	jobs = append(jobs, Job{Label: "bad", Model: m, Platform: bad})
-
-	want := Run(jobs, Options{Workers: 2})
-	got := RunPooled(jobs, Options{}, StealOptions{Workers: 3, Seed: 9}, nil)
-	if len(got) != len(want) {
-		t.Fatalf("result count %d != %d", len(got), len(want))
-	}
-	for i := range want {
-		if (want[i].Err == nil) != (got[i].Err == nil) {
-			t.Fatalf("job %d (%s): err %v vs %v", i, want[i].Label, want[i].Err, got[i].Err)
-		}
-		if want[i].Err != nil {
-			if want[i].Err.Error() != got[i].Err.Error() {
-				t.Errorf("job %d error drifted: %v vs %v", i, want[i].Err, got[i].Err)
-			}
-			continue
-		}
-		wj, err := json.Marshal(want[i].Report)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gj, err := json.Marshal(got[i].Report)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(wj, gj) {
-			t.Errorf("job %d (%s): pooled report differs from fresh", i, want[i].Label)
-		}
 	}
 }

@@ -3,37 +3,15 @@ package serve
 import (
 	"segbus/internal/emulator/pool"
 	"segbus/internal/obs"
-	"segbus/internal/platform"
-	"segbus/internal/psdf"
 )
 
-// The per-platform-shape machine pool lives in internal/emulator/pool
-// since PR 10 so the design-space explorer and the sweep harness share
-// it; serve keeps these thin wrappers so the serving stack reads in
-// its own vocabulary and the pool's server-metric wiring stays next to
-// the code it measures.
-
-// poolPerKey / poolMaxShapes are the serving stack's pool bounds —
-// the package defaults were chosen for this workload originally.
-const (
-	poolPerKey    = pool.DefaultPerKey
-	poolMaxShapes = pool.DefaultMaxShapes
-)
-
-// newMachinePool returns an empty pool reporting to the server
-// metric handles (which are nil-safe, so m may carry a nil registry).
+// newMachinePool returns an empty pool with the default bounds,
+// reporting to the server metric handles (which are nil-safe, so m may
+// carry a nil registry).
 func newMachinePool(m *obs.ServerMetrics) *pool.Pool {
 	return pool.New(pool.Options{
-		PerKey:    poolPerKey,
-		MaxShapes: poolMaxShapes,
-		Hits:      m.PoolHits,
-		Misses:    m.PoolMisses,
-		Discards:  m.PoolDiscards,
+		Hits:     m.PoolHits,
+		Misses:   m.PoolMisses,
+		Discards: m.PoolDiscards,
 	})
-}
-
-// shapeKey bins a request by the structural sizes that drive machine
-// storage; see pool.ShapeKey.
-func shapeKey(m *psdf.Model, plat *platform.Platform) string {
-	return pool.ShapeKey(m, plat)
 }

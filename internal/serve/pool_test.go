@@ -18,6 +18,7 @@ import (
 
 	"segbus/internal/apps"
 	"segbus/internal/core"
+	"segbus/internal/emulator/pool"
 	"segbus/internal/obs"
 	"segbus/internal/platform"
 )
@@ -25,10 +26,10 @@ import (
 func TestShapeKey(t *testing.T) {
 	m1, p1 := apps.MP3Model(), apps.MP3Platform3(36)
 	m2, p2 := apps.MP3Model(), apps.MP3Platform2(36)
-	if shapeKey(m1, p1) == shapeKey(m2, p2) {
-		t.Errorf("different platform shapes share key %q", shapeKey(m1, p1))
+	if pool.ShapeKey(m1, p1) == pool.ShapeKey(m2, p2) {
+		t.Errorf("different platform shapes share key %q", pool.ShapeKey(m1, p1))
 	}
-	if shapeKey(m1, p1) != shapeKey(apps.MP3Model(), apps.MP3Platform3(48)) {
+	if pool.ShapeKey(m1, p1) != pool.ShapeKey(apps.MP3Model(), apps.MP3Platform3(48)) {
 		t.Error("package size changed the shape key; it must not (storage shape is size-independent)")
 	}
 }
@@ -51,14 +52,14 @@ func TestMachinePoolCheckout(t *testing.T) {
 	}
 	p.Put(key, mc)
 
-	// Overflow the per-shape cap: poolPerKey stay pooled, extras drop.
-	for i := 0; i < poolPerKey+2; i++ {
+	// Overflow the per-shape cap: DefaultPerKey stay pooled, extras drop.
+	for i := 0; i < pool.DefaultPerKey+2; i++ {
 		fresh, _ := p.Get("other-shape")
 		p.Put(key, fresh)
 	}
 	shapes, machines := p.Stats()
-	if machines != poolPerKey {
-		t.Errorf("pool holds %d machines for one hot shape, want %d", machines, poolPerKey)
+	if machines != pool.DefaultPerKey {
+		t.Errorf("pool holds %d machines for one hot shape, want %d", machines, pool.DefaultPerKey)
 	}
 	if shapes < 1 {
 		t.Errorf("pool shape count %d", shapes)
@@ -173,8 +174,8 @@ func TestMachinePoolStress(t *testing.T) {
 	if emulations.Load() > int64(len(variants)) && poolHits == 0 {
 		t.Error("repeated emulations never hit the machine pool")
 	}
-	if shapes, _ := s.machines.Stats(); shapes > poolMaxShapes {
-		t.Errorf("pool binned %d shapes, cap is %d", shapes, poolMaxShapes)
+	if shapes, _ := s.machines.Stats(); shapes > pool.DefaultMaxShapes {
+		t.Errorf("pool binned %d shapes, cap is %d", shapes, pool.DefaultMaxShapes)
 	}
 }
 

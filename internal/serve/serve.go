@@ -591,7 +591,7 @@ func (s *Server) emulate(ctx context.Context, tr *reqtrace.Trace, parent reqtrac
 	}
 	err := s.pool.SubmitObserved(ctx, observe, func() {
 		sp := tr.Child(parent, "pool_checkout")
-		shape := shapeKey(pr.m, pr.plat)
+		shape := pool.ShapeKey(pr.m, pr.plat)
 		mc, warm := s.machines.Get(shape)
 		if tr != nil {
 			if warm {

@@ -15,6 +15,8 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"segbus/internal/emulator"
+	"segbus/internal/emulator/pool"
 	"segbus/internal/obs"
 	"segbus/internal/parallel"
 	"segbus/internal/platform"
@@ -60,78 +62,56 @@ func first(opts []Options) Options {
 	return Options{}
 }
 
-// run evaluates the variants concurrently in submission order, on the
+// curve evaluates n variants of base concurrently, on the
 // work-stealing scheduler with pooled machines: every variant of one
 // curve shares a platform shape, so after the first sample each
 // worker's emulations run on a warm arena, and a straggler (small
-// package sizes cost the most) no longer serialises the tail.
-func run(m *psdf.Model, variants []*platform.Platform, values []int64, param string, o Options) Curve {
-	jobs := make([]parallel.Job, len(variants))
-	for i, p := range variants {
-		jobs[i] = parallel.Job{Label: fmt.Sprintf("%s=%d", param, values[i]), Model: m, Platform: p}
-	}
-	popts := parallel.Options{}
-	if o.Heartbeat != nil {
-		var done, failed atomic.Int64
-		popts.Progress = func(r parallel.Result) {
-			if r.Err != nil {
-				failed.Add(1)
-			}
-			o.Heartbeat.Tick(int(done.Add(1)), int(failed.Load()))
-		}
-	}
-	results := parallel.RunPooled(jobs, popts, parallel.StealOptions{Workers: o.Workers, Seed: o.Seed}, nil)
-	c := Curve{Param: param, Points: make([]Point, len(values))}
-	failures := 0
-	for i, r := range results {
-		c.Points[i] = Point{Value: values[i], Err: r.Err}
-		if r.Err == nil {
-			c.Points[i].ExecPs = int64(r.Report.ExecutionTimePs)
+// package sizes cost the most) no longer serialises the tail. vary
+// sets the swept field of variant i's clone of base and returns the
+// value it set.
+func curve(m *psdf.Model, base *platform.Platform, param string, n int, o Options, vary func(p *platform.Platform, i int) int64) Curve {
+	machines := pool.ForWorkers(o.Workers)
+	c := Curve{Param: param, Points: make([]Point, n)}
+	var done, failed atomic.Int64
+	parallel.StealRun(n, parallel.StealOptions{Workers: o.Workers, Seed: o.Seed}, func(i int) {
+		p := base.Clone()
+		pt := Point{Value: vary(p, i)}
+		r, err := machines.Run(m, p, emulator.Config{})
+		if err != nil {
+			pt.Err = err
+			failed.Add(1)
 		} else {
-			failures++
+			pt.ExecPs = int64(r.ExecutionTimePs)
 		}
-	}
-	o.Heartbeat.Final(len(results), failures)
+		c.Points[i] = pt
+		o.Heartbeat.Tick(int(done.Add(1)), int(failed.Load()))
+	})
+	o.Heartbeat.Final(n, int(failed.Load()))
 	return c
 }
 
 // PackageSizes sweeps the platform package size.
 func PackageSizes(m *psdf.Model, base *platform.Platform, sizes []int, opts ...Options) Curve {
-	variants := make([]*platform.Platform, len(sizes))
-	values := make([]int64, len(sizes))
-	for i, s := range sizes {
-		p := base.Clone()
-		p.PackageSize = s
-		variants[i] = p
-		values[i] = int64(s)
-	}
-	return run(m, variants, values, "packageSize", first(opts))
+	return curve(m, base, "packageSize", len(sizes), first(opts), func(p *platform.Platform, i int) int64 {
+		p.PackageSize = sizes[i]
+		return int64(sizes[i])
+	})
 }
 
 // HeaderTicks sweeps the per-package protocol overhead.
 func HeaderTicks(m *psdf.Model, base *platform.Platform, ticks []int, opts ...Options) Curve {
-	variants := make([]*platform.Platform, len(ticks))
-	values := make([]int64, len(ticks))
-	for i, h := range ticks {
-		p := base.Clone()
-		p.HeaderTicks = h
-		variants[i] = p
-		values[i] = int64(h)
-	}
-	return run(m, variants, values, "headerTicks", first(opts))
+	return curve(m, base, "headerTicks", len(ticks), first(opts), func(p *platform.Platform, i int) int64 {
+		p.HeaderTicks = ticks[i]
+		return int64(ticks[i])
+	})
 }
 
 // CAHopTicks sweeps the central arbiter's chain set-up cost.
 func CAHopTicks(m *psdf.Model, base *platform.Platform, ticks []int, opts ...Options) Curve {
-	variants := make([]*platform.Platform, len(ticks))
-	values := make([]int64, len(ticks))
-	for i, h := range ticks {
-		p := base.Clone()
-		p.CAHopTicks = h
-		variants[i] = p
-		values[i] = int64(h)
-	}
-	return run(m, variants, values, "caHopTicks", first(opts))
+	return curve(m, base, "caHopTicks", len(ticks), first(opts), func(p *platform.Platform, i int) int64 {
+		p.CAHopTicks = ticks[i]
+		return int64(ticks[i])
+	})
 }
 
 // SegmentClock sweeps one segment's clock frequency (1-based index).
@@ -139,15 +119,11 @@ func SegmentClock(m *psdf.Model, base *platform.Platform, segment int, clocks []
 	if base.Segment(segment) == nil {
 		return Curve{}, fmt.Errorf("sweep: no segment %d", segment)
 	}
-	variants := make([]*platform.Platform, len(clocks))
-	values := make([]int64, len(clocks))
-	for i, hz := range clocks {
-		p := base.Clone()
-		p.Segment(segment).Clock = hz
-		variants[i] = p
-		values[i] = int64(hz)
-	}
-	return run(m, variants, values, fmt.Sprintf("segment%dClockHz", segment), first(opts)), nil
+	param := fmt.Sprintf("segment%dClockHz", segment)
+	return curve(m, base, param, len(clocks), first(opts), func(p *platform.Platform, i int) int64 {
+		p.Segment(segment).Clock = clocks[i]
+		return int64(clocks[i])
+	}), nil
 }
 
 // CSV renders the curve as two-column CSV (value, exec_us); failed

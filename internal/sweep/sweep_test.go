@@ -1,12 +1,14 @@
 package sweep
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"segbus/internal/apps"
+	"segbus/internal/emulator"
 	"segbus/internal/obs"
 	"segbus/internal/platform"
 )
@@ -109,6 +111,49 @@ func TestCurveRenderings(t *testing.T) {
 	}
 }
 
+// TestCurveMatchesFreshRuns pins every curve to fresh emulations of
+// the variant it names, at several workers, so each sweep sets its own
+// field on its own clone of the base platform.
+func TestCurveMatchesFreshRuns(t *testing.T) {
+	m := apps.MP3Model()
+	base := apps.MP3Platform3(36)
+	for _, workers := range []int{1, 3} {
+		o := Options{Workers: workers, Seed: 5}
+		clock, err := SegmentClock(m, base, 2, []platform.Hz{60 * platform.MHz, 200 * platform.MHz}, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			c     Curve
+			param string
+			set   func(p *platform.Platform, v int64)
+		}{
+			{PackageSizes(m, base, []int{12, 18, 72}, o), "packageSize", func(p *platform.Platform, v int64) { p.PackageSize = int(v) }},
+			{HeaderTicks(m, base, []int{0, 25}, o), "headerTicks", func(p *platform.Platform, v int64) { p.HeaderTicks = int(v) }},
+			{CAHopTicks(m, base, []int{0, 25}, o), "caHopTicks", func(p *platform.Platform, v int64) { p.CAHopTicks = int(v) }},
+			{clock, "segment2ClockHz", func(p *platform.Platform, v int64) { p.Segment(2).Clock = platform.Hz(v) }},
+		} {
+			if tc.c.Param != tc.param {
+				t.Errorf("curve named %q, want %q", tc.c.Param, tc.param)
+			}
+			for _, pt := range tc.c.Points {
+				p := base.Clone()
+				tc.set(p, pt.Value)
+				want, err := emulator.Run(m, p, emulator.Config{})
+				if err != nil || pt.Err != nil {
+					t.Fatalf("workers=%d %s=%d: %v / %v", workers, tc.param, pt.Value, err, pt.Err)
+				}
+				if pt.ExecPs != int64(want.ExecutionTimePs) {
+					t.Errorf("workers=%d %s=%d: exec %d ps, fresh run %d ps", workers, tc.param, pt.Value, pt.ExecPs, want.ExecutionTimePs)
+				}
+			}
+		}
+	}
+	if !reflect.DeepEqual(base, apps.MP3Platform3(36)) {
+		t.Error("base platform mutated")
+	}
+}
+
 func TestSweepHeartbeat(t *testing.T) {
 	var buf syncBuffer
 	hb := obs.NewHeartbeat(&buf, "sample", time.Nanosecond, 3)
@@ -128,8 +173,8 @@ func TestSweepHeartbeat(t *testing.T) {
 	PackageSizes(apps.MP3Model(), apps.MP3Platform3(36), []int{36})
 }
 
-// syncBuffer is a strings.Builder safe for the concurrent Progress
-// callbacks of the worker pool.
+// syncBuffer is a strings.Builder safe for the heartbeat ticks of
+// concurrent samples.
 type syncBuffer struct {
 	mu sync.Mutex
 	b  strings.Builder

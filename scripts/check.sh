@@ -138,6 +138,10 @@ diff -u "$explore_dir/a/report.json" "$explore_dir/b/report.json"
 # race-enabled rounds in fresh processes.
 go test -race -count=2 ./internal/parallel
 go test -race -short -count=2 ./internal/explore
+# Every candidate batch (core.Explore rankings, sweep curves) runs on
+# StealRun over one shared machine pool per batch; exercise that shared
+# path concurrently, many times.
+go test -race -count=10 -run 'Explore|Sweep|Curve|Run' ./internal/core ./internal/sweep ./internal/emulator/pool
 
 # Warm-hit latency gate: a single-worker warm-mix run (queueing would
 # measure the client, not the server) must land its hit p50 under the
