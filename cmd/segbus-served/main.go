@@ -121,6 +121,12 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 		TraceSlowest:   *traceSlowest,
 	})
 
+	// Trap the shutdown signals before announcing readiness: a SIGTERM
+	// that arrives right after ready must drain the server, not kill
+	// the process with the default disposition.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
@@ -134,8 +140,6 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case err := <-errc:
 		return err

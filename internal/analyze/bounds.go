@@ -186,28 +186,6 @@ func (q *BoundsQuery) Bounds(plat *platform.Platform) (*Bounds, error) {
 		crossOrder = append(crossOrder, name)
 	}
 
-	// itemsIn mirrors the emulator's itemsInPackage: full packages
-	// with a possibly partial tail.
-	itemsIn := func(f psdf.Flow, pkg int) int64 {
-		rest := f.Items - (pkg-1)*s
-		if rest > s {
-			rest = s
-		}
-		if rest < 0 {
-			rest = 0
-		}
-		return int64(rest)
-	}
-	// compute mirrors the emulator's computeTicks: C, rescaled by the
-	// package's item share of the nominal package size.
-	compute := func(f psdf.Flow, pkg int) int64 {
-		c := int64(f.Ticks)
-		if nominal <= 0 {
-			return c
-		}
-		return (c*itemsIn(f, pkg) + int64(nominal) - 1) / int64(nominal)
-	}
-
 	// Serial per-process emission chains, per stage.
 	var orders []int
 	seenOrder := make(map[int]bool)
@@ -240,11 +218,11 @@ func (q *BoundsQuery) Bounds(plat *platform.Platform) (*Bounds, error) {
 		}
 
 		for pkg := 1; pkg <= pk; pkg++ {
-			items := itemsIn(f, pkg)
+			items := int64(f.PackageItems(s, pkg))
 			srcPeriod := periods[srcSeg]
 			// FU processing plus the source-segment transaction (an
 			// intra-segment transfer or the fill into the first BU).
-			latency := compute(f, pkg)*srcPeriod + (header+items)*srcPeriod
+			latency := f.PackageTicks(s, nominal, pkg)*srcPeriod + (header+items)*srcPeriod
 			segTicks[srcSeg] += header + items
 			// CA circuit set-up, charged per hop on the CA clock.
 			latency += hops * int64(plat.CAHopTicks) * caPeriod

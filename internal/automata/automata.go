@@ -14,15 +14,16 @@
 //	   ▲                                           │ grant
 //	   └───────────── deliver ◀── Transferring ◀───┘
 //
-// The emission program is the same one the emulator builds: the
-// model's flows in canonical order, one entry per package, each gated
-// by the proportional packet-SDF firing rule (a package may start
-// only when its stage is active and the process has received `need`
-// input packages). Per-segment bus automata synchronise on the grant
-// action — at most one master per segment holds the bus between its
-// grant and its delivery — and deliveries synchronise the sender's
-// automaton with the receiver's package counter and with the global
-// stage automaton, which advances when a stage's package count
+// The emission program follows the order the emulator emits in: the
+// model's flows in canonical order, one entry per package. Each entry
+// is gated by the per-order packet-SDF firing rule, read from package
+// sched (sched.Schedule.Need), the same gate the emulator enforces: a
+// package may start only when its stage is active and the process has
+// received `need` input packages. Per-segment bus automata synchronise
+// on the grant action — at most one master per segment holds the bus
+// between its grant and its delivery — and deliveries synchronise the
+// sender's automaton with the receiver's package counter and with the
+// global stage automaton, which advances when a stage's package count
 // reaches zero.
 //
 // A product state is therefore (stage, packages left in stage,
@@ -238,8 +239,8 @@ func (r *Result) TraceStrings() []string {
 	return out
 }
 
-// Entry is one package emission of an emitter's program, mirroring
-// the emulator's per-FU program construction.
+// Entry is one package emission of an emitter's program, with the
+// firing gate the schedule assigns it (sched.Schedule.Need).
 type Entry struct {
 	Flow sched.FlowID
 	Pkg  int // 1-based package index within the flow
@@ -251,16 +252,14 @@ type Entry struct {
 // exploration. Compile builds one; a System is immutable and safe
 // for concurrent use.
 type System struct {
-	sch        *sched.Schedule
-	procs      []psdf.ProcessID // ascending; index is the state slot
-	procIdx    map[psdf.ProcessID]int
-	segOf      []int // per proc index, 1-based hosting segment
-	programs   [][]Entry
-	emitters   []int // proc indices with non-empty programs, ascending
-	numStages  int
-	stageTotal []int // packages per stage
-	stageOfFlw []int // per FlowID, its stage index (precomputed StageOf)
-	pruned     int   // inert segments removed by the symmetry reduction
+	sch       *sched.Schedule
+	procs     []psdf.ProcessID // ascending; index is the state slot
+	procIdx   map[psdf.ProcessID]int
+	segOf     []int // per proc index, 1-based hosting segment
+	programs  [][]Entry
+	emitters  []int // proc indices with non-empty programs, ascending
+	numStages int
+	pruned    int // inert segments removed by the symmetry reduction
 }
 
 // NumEmitters returns the number of non-trivial process automata in

@@ -64,7 +64,7 @@ func (s *System) fillStuck(res *Result, st []byte) {
 			continue
 		}
 		e := s.programs[pi][pc]
-		if s.stageOfFlw[e.Flow] != stage {
+		if s.sch.StageOf(e.Flow) != stage {
 			continue
 		}
 		res.Blocked = append(res.Blocked, Blocked{

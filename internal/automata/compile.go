@@ -86,56 +86,17 @@ func Compile(m *psdf.Model, plat *platform.Platform) (*System, error) {
 		}
 	}
 
-	// Emission programs, built exactly the way the emulator builds its
-	// per-FU programs: the flows in canonical order, one entry per
-	// package, gated by inputs-before-this-order plus the proportional
-	// same-order share ceil(k·is/os).
+	// Emission programs: the flows in canonical order, one entry per
+	// package, each gated by the schedule's firing gate.
 	s.programs = make([][]Entry, len(procs))
-	inBefore := func(p psdf.ProcessID, order int) int {
-		n := 0
-		for i, f := range sch.Flows() {
-			if f.Target == p && f.Order < order {
-				n += sch.Packages(sched.FlowID(i))
-			}
-		}
-		return n
-	}
-	inSame := func(p psdf.ProcessID, order int) int {
-		n := 0
-		for i, f := range sch.Flows() {
-			if f.Target == p && f.Order == order {
-				n += sch.Packages(sched.FlowID(i))
-			}
-		}
-		return n
-	}
-	outSame := make(map[psdf.ProcessID]map[int]int)
-	for i, f := range sch.Flows() {
-		if outSame[f.Source] == nil {
-			outSame[f.Source] = make(map[int]int)
-		}
-		outSame[f.Source][f.Order] += sch.Packages(sched.FlowID(i))
-	}
-	kSame := make(map[psdf.ProcessID]map[int]int)
 	for i, f := range sch.Flows() {
 		pi, ok := s.procIdx[f.Source]
 		if !ok {
 			return nil, fmt.Errorf("automata: flow %v source not a model process", f)
 		}
-		if kSame[f.Source] == nil {
-			kSame[f.Source] = make(map[int]int)
-		}
-		ib := inBefore(f.Source, f.Order)
-		is := inSame(f.Source, f.Order)
-		os := outSame[f.Source][f.Order]
-		for pkg := 1; pkg <= sch.Packages(sched.FlowID(i)); pkg++ {
-			kSame[f.Source][f.Order]++
-			k := kSame[f.Source][f.Order]
-			need := ib
-			if is > 0 && os > 0 {
-				need = ib + (k*is+os-1)/os
-			}
-			s.programs[pi] = append(s.programs[pi], Entry{Flow: sched.FlowID(i), Pkg: pkg, Need: need})
+		id := sched.FlowID(i)
+		for pkg := 1; pkg <= sch.Packages(id); pkg++ {
+			s.programs[pi] = append(s.programs[pi], Entry{Flow: id, Pkg: pkg, Need: sch.Need(id, pkg)})
 		}
 	}
 	for i := range procs {
@@ -146,14 +107,6 @@ func Compile(m *psdf.Model, plat *platform.Platform) (*System, error) {
 	sort.Ints(s.emitters)
 
 	s.numStages = sch.NumStages()
-	s.stageTotal = make([]int, s.numStages)
-	s.stageOfFlw = make([]int, sch.NumFlows())
-	for si, st := range sch.Stages() {
-		for _, id := range st.Flows {
-			s.stageTotal[si] += sch.Packages(id)
-			s.stageOfFlw[id] = si
-		}
-	}
 
 	// Symmetry reduction: a segment hosting no emitter is inert — its
 	// bus automaton never leaves its initial state — so it contributes

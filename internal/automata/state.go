@@ -55,7 +55,7 @@ func (s *System) done(st []byte) bool { return s.stage(st) >= s.numStages }
 func (s *System) initial() []byte {
 	st := make([]byte, s.stateLen())
 	if s.numStages > 0 {
-		setU16(st, offLeft, s.stageTotal[0])
+		setU16(st, offLeft, s.sch.StagePackages(0))
 	}
 	return st
 }
@@ -101,7 +101,7 @@ func (s *System) enabled(st []byte, ei int) bool {
 	case Waiting:
 		e := s.programs[pi][pc]
 		return !s.done(st) &&
-			s.stageOfFlw[e.Flow] == s.stage(st) &&
+			s.sch.StageOf(e.Flow) == s.stage(st) &&
 			s.received(st, pi) >= e.Need
 	case RequestingBus:
 		return !s.segBusy(st, s.segOf[pi], ei)
@@ -145,7 +145,7 @@ func (s *System) step(st []byte, ei int) (Action, []byte) {
 		stage := s.stage(st) + 1
 		setU16(ns, offStage, stage)
 		if stage < s.numStages {
-			left = s.stageTotal[stage]
+			left = s.sch.StagePackages(stage)
 		}
 	}
 	setU16(ns, offLeft, left)

@@ -24,10 +24,12 @@ package emulator
 // that SA's grant (waiting periods are accounted to the BU); the
 // initiating master is released by the final delivery.
 //
-// Schedule: flows run stage by stage in T order; all flows of the
-// minimal uncompleted order may run concurrently; within a process,
-// emission k of an order waits for earlier-order inputs plus
-// ceil(k·I/O) same-order input packages.
+// Schedule (package sched owns both rules): flows run stage by stage
+// in T order; all flows of the minimal uncompleted order may run
+// concurrently; within a process, the k-th package it emits on an
+// order (k counted across all of its flows of that order) waits for
+// its earlier-order input packages plus ceil(k·is/os), where is and
+// os are the packages it receives and emits on that order.
 //
 // Monitoring (section 4 accounting): each SA's TCT counts clock ticks
 // from emulation start to its last bus activity; the CA's counts to

@@ -3,6 +3,7 @@ package emulator
 import (
 	"encoding/json"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -20,6 +21,32 @@ func twoProc() (*psdf.Model, *platform.Platform) {
 	p := platform.New("one-seg", 100*platform.MHz, 36)
 	p.AddSegment(100*platform.MHz, 0, 1)
 	return m, p
+}
+
+// TestRunMemoryIndependentOfPackageCount pins O(processes + flows)
+// machine memory: the firing gate of each emission is computed when it
+// fires, so a fresh run of two pipelined flows of 10⁶ one-item packages
+// allocates no per-package storage.
+func TestRunMemoryIndependentOfPackageCount(t *testing.T) {
+	const items = 1_000_000
+	m := psdf.NewModel("wide")
+	m.AddFlow(psdf.Flow{Source: 0, Target: 1, Items: items, Order: 1, Ticks: 1})
+	m.AddFlow(psdf.Flow{Source: 1, Target: 2, Items: items, Order: 1, Ticks: 1})
+	p := platform.New("one-seg", 100*platform.MHz, 1)
+	p.AddSegment(100*platform.MHz, 0, 1, 2)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r, err := Run(m, p, Config{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Process(2).RecvPackages; got != items {
+		t.Fatalf("P2 received %d packages, want %d", got, items)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("run allocated %d bytes, want < 1 MiB", alloc)
+	}
 }
 
 func TestIntraSegmentTiming(t *testing.T) {

@@ -105,11 +105,10 @@ func validateConfig(cfg Config) error {
 	return nil
 }
 
-// emitEntry is one package emission in a functional unit's program.
+// emitEntry is one package emission of a functional unit.
 type emitEntry struct {
 	flow sched.FlowID
 	pkg  int // 1-based package index within the flow
-	need int // input packages the process must have received first
 }
 
 // Element state lives in parallel flat slices — static configuration,
@@ -121,17 +120,18 @@ type emitEntry struct {
 // invalidating a single closure.
 
 // fuStatic is the per-prime configuration of one functional unit (one
-// hosted process). program keeps its capacity across primes.
+// hosted process). flows keeps its capacity across primes.
 type fuStatic struct {
-	proc    psdf.ProcessID
-	seg     int // hosting segment, 1-based
-	program []emitEntry
+	proc  psdf.ProcessID
+	seg   int            // hosting segment, 1-based
+	flows []sched.FlowID // flows the process emits packages on, canonical order
 }
 
 // fuDyn is the per-run mutable state of one functional unit. The zero
 // value is the post-prime state.
 type fuDyn struct {
-	next     int // next program entry (claimed when compute starts)
+	nextFlow int // index into fuStatic.flows of the next emission
+	nextPkg  int // packages of that flow already claimed (when compute starts)
 	received int
 	sent     int
 	busy     bool
@@ -332,41 +332,7 @@ type machine struct {
 	reqSeq      uint64
 	endPs       engine.Time
 
-	// Emission-program derivation scratch, reused across primes:
-	// per-(source, order) package tallies keyed by the packed pair.
-	outSame map[uint64]int
-	kSame   map[uint64]int
-
 	met machineMetrics
-}
-
-// procOrderKey packs a (process, order) pair into one map key for the
-// emission-program scratch tables.
-func procOrderKey(p psdf.ProcessID, order int) uint64 {
-	return uint64(uint32(p))<<32 | uint64(uint32(order))
-}
-
-// inBefore and inSame are the per-process input package totals the
-// firing gates are derived from: packages a process receives on
-// earlier orders, respectively on the same order.
-func inBefore(sch *sched.Schedule, p psdf.ProcessID, order int) int {
-	n := 0
-	for i, f := range sch.Flows() {
-		if f.Target == p && f.Order < order {
-			n += sch.Packages(sched.FlowID(i))
-		}
-	}
-	return n
-}
-
-func inSame(sch *sched.Schedule, p psdf.ProcessID, order int) int {
-	n := 0
-	for i, f := range sch.Flows() {
-		if f.Target == p && f.Order == order {
-			n += sch.Packages(sched.FlowID(i))
-		}
-	}
-	return n
 }
 
 // sortFUs orders the FU slots by process id (insertion sort: FU counts
@@ -418,7 +384,7 @@ func buRequesterID(left int, rightward bool) int {
 // prime configures the machine for one (model, platform, config)
 // triple: the event kernel is reset, the element arrays are sized and
 // their static configuration rebuilt, the per-run state zeroed and the
-// emission programs derived. A warm machine re-primes without
+// emitted flows assigned to their FUs. A warm machine re-primes without
 // allocating except where the new shape outgrows the arena. prime is
 // total over dirty machines — it never reads run state left by a
 // previous (possibly failed) run.
@@ -505,7 +471,7 @@ func (mc *machine) prime(plat *platform.Platform, sch *sched.Schedule, nominal i
 			st := &mc.fuStat[i]
 			st.proc = pfu.Process
 			st.seg = seg.Index
-			st.program = st.program[:0]
+			st.flows = st.flows[:0]
 			mc.fuDyn[i] = fuDyn{}
 			i++
 		}
@@ -523,36 +489,15 @@ func (mc *machine) prime(plat *platform.Platform, sch *sched.Schedule, nominal i
 		mc.bindFU(len(mc.fuHook))
 	}
 
-	// Emission programs follow the canonical flow order; the per-order
-	// proportional gate interleaves same-order pipelines.
-	if mc.outSame == nil {
-		mc.outSame = make(map[uint64]int)
-		mc.kSame = make(map[uint64]int)
-	} else {
-		clear(mc.outSame)
-		clear(mc.kSame)
-	}
-	for i, f := range sch.Flows() {
-		mc.outSame[procOrderKey(f.Source, f.Order)] += sch.Packages(sched.FlowID(i))
-	}
+	// Each FU emits its flows' packages in canonical flow order; the
+	// schedule's per-order gate interleaves same-order pipelines.
 	for i, f := range sch.Flows() {
 		fi, ok := mc.fuOf[f.Source]
 		if !ok {
 			return fmt.Errorf("emulator: flow %v source not hosted", f)
 		}
-		fu := &mc.fuStat[fi]
-		key := procOrderKey(f.Source, f.Order)
-		ib := inBefore(sch, f.Source, f.Order)
-		is := inSame(sch, f.Source, f.Order)
-		os := mc.outSame[key]
-		for pkg := 1; pkg <= sch.Packages(sched.FlowID(i)); pkg++ {
-			mc.kSame[key]++
-			k := mc.kSame[key]
-			need := ib
-			if is > 0 && os > 0 {
-				need = ib + (k*is+os-1)/os
-			}
-			fu.program = append(fu.program, emitEntry{flow: sched.FlowID(i), pkg: pkg, need: need})
+		if sch.Packages(sched.FlowID(i)) > 0 {
+			mc.fuStat[fi].flows = append(mc.fuStat[fi].flows, sched.FlowID(i))
 		}
 	}
 
@@ -561,16 +506,7 @@ func (mc *machine) prime(plat *platform.Platform, sch *sched.Schedule, nominal i
 	mc.stageLeft = grown(mc.stageLeft, ns)
 	mc.stageStart = grown(mc.stageStart, ns)
 	mc.stageEnd = grown(mc.stageEnd, ns)
-	for i := 0; i < ns; i++ {
-		mc.stageLeft[i] = 0
-		mc.stageStart[i] = 0
-		mc.stageEnd[i] = 0
-	}
-	for si, st := range sch.Stages() {
-		for _, id := range st.Flows {
-			mc.stageLeft[si] += sch.Packages(id)
-		}
-	}
+	mc.resetStages()
 
 	mc.stage = 0
 	mc.caBusyUntil = 0
@@ -604,21 +540,22 @@ func (mc *machine) reset() {
 	for i := range mc.busSt {
 		mc.busSt[i] = buStats{bu: mc.busSt[i].bu}
 	}
-	for i := range mc.stageLeft {
-		mc.stageLeft[i] = 0
-		mc.stageStart[i] = 0
-		mc.stageEnd[i] = 0
-	}
-	for si, st := range mc.sch.Stages() {
-		for _, id := range st.Flows {
-			mc.stageLeft[si] += mc.sch.Packages(id)
-		}
-	}
+	mc.resetStages()
 	mc.stage = 0
 	mc.caBusyUntil = 0
 	mc.caRequests = 0
 	mc.reqSeq = 0
 	mc.endPs = 0
+}
+
+// resetStages re-arms the stage accounting: every stage owes all of
+// its packages and has neither started nor ended.
+func (mc *machine) resetStages() {
+	for si := range mc.stageLeft {
+		mc.stageLeft[si] = mc.sch.StagePackages(si)
+		mc.stageStart[si] = 0
+		mc.stageEnd[si] = 0
+	}
 }
 
 // bindFU builds the bound event handlers of FU slot i and appends them
@@ -697,32 +634,14 @@ func (mc *machine) bufFree(b int) bool {
 func (mc *machine) grantTicks() int64 { return int64(mc.cfg.Overheads.GrantTicks) }
 func (mc *machine) syncTicks() int64  { return int64(mc.cfg.Overheads.SyncTicks) }
 
-// itemsInPackage returns the number of data items the pkg-th (1-based)
-// package of flow id carries: the platform package size except for a
-// possibly partial final package.
-func (mc *machine) itemsInPackage(id sched.FlowID, pkg int) int {
-	total := mc.sch.Flow(id).Items
-	rest := total - (pkg-1)*mc.s
-	if rest > mc.s {
-		return mc.s
+// nextEmission returns FU i's next package emission; ok is false once
+// every package of its flows has been claimed.
+func (mc *machine) nextEmission(i int) (e emitEntry, ok bool) {
+	st, d := &mc.fuStat[i], &mc.fuDyn[i]
+	if d.nextFlow >= len(st.flows) {
+		return emitEntry{}, false
 	}
-	if rest < 0 {
-		return 0
-	}
-	return rest
-}
-
-// computeTicks returns the FU processing cost for one package: the
-// flow's C value, scaled by the package's item count relative to the
-// model's nominal package size when one is declared (work is a
-// property of the data, not of the packaging).
-func (mc *machine) computeTicks(id sched.FlowID, pkg int) int64 {
-	c := int64(mc.sch.Flow(id).Ticks)
-	if mc.nominal <= 0 {
-		return c
-	}
-	items := int64(mc.itemsInPackage(id, pkg))
-	return (c*items + int64(mc.nominal) - 1) / int64(mc.nominal)
+	return emitEntry{flow: st.flows[d.nextFlow], pkg: d.nextPkg + 1}, true
 }
 
 // run drives the simulation to completion and assembles the report.
@@ -763,15 +682,12 @@ func (mc *machine) deadlockError() error {
 		Undelivered: mc.stageLeft[mc.stage],
 	}
 	for i := range mc.fuStat {
-		st, d := &mc.fuStat[i], &mc.fuDyn[i]
-		if d.next >= len(st.program) || d.busy {
+		d := &mc.fuDyn[i]
+		e, ok := mc.nextEmission(i)
+		if !ok || d.busy || mc.sch.StageOf(e.flow) != mc.stage {
 			continue
 		}
-		e := st.program[d.next]
-		if mc.sch.StageOf(e.flow) != mc.stage {
-			continue
-		}
-		de.Blocked = append(de.Blocked, BlockedProc{Proc: st.proc, Need: e.need, Have: d.received})
+		de.Blocked = append(de.Blocked, BlockedProc{Proc: mc.fuStat[i].proc, Need: mc.sch.Need(e.flow, e.pkg), Have: d.received})
 	}
 	return de
 }
@@ -780,25 +696,26 @@ func (mc *machine) deadlockError() error {
 // stage is active and the firing gate is satisfied.
 func (mc *machine) advanceFU(i int, now engine.Time) {
 	st, d := &mc.fuStat[i], &mc.fuDyn[i]
-	if d.busy || d.next >= len(st.program) || mc.stage >= len(mc.stageLeft) {
+	if d.busy || mc.stage >= len(mc.stageLeft) {
 		return
 	}
-	e := st.program[d.next]
-	if mc.sch.StageOf(e.flow) != mc.stage {
-		return
-	}
-	if d.received < e.need {
+	e, ok := mc.nextEmission(i)
+	if !ok || mc.sch.StageOf(e.flow) != mc.stage || d.received < mc.sch.Need(e.flow, e.pkg) {
 		return
 	}
 	d.busy = true
-	d.next++
+	d.nextPkg++
+	if d.nextPkg == mc.sch.Packages(e.flow) {
+		d.nextFlow++
+		d.nextPkg = 0
+	}
 	clock := mc.segStat[st.seg-1].clock
 	start := clock.NextEdge(now)
 	if !d.started {
 		d.started = true
 		d.startPs = start
 	}
-	compEnd := start + clock.Ticks(mc.computeTicks(e.flow, e.pkg))
+	compEnd := start + clock.Ticks(mc.sch.Flow(e.flow).PackageTicks(mc.s, mc.nominal, e.pkg))
 	if mc.cfg.Trace.Enabled() {
 		f := mc.sch.Flow(e.flow)
 		mc.cfg.Trace.AddInterval(st.proc.String(), traceCompute, int64(start), int64(compEnd),
@@ -948,7 +865,7 @@ func (mc *machine) runIntra(i int, grantAt engine.Time) {
 	clock := mc.segStat[si].clock
 	start := clock.NextEdge(grantAt)
 	dataStart := start + clock.Ticks(mc.grantTicks()+mc.header)
-	end := dataStart + clock.Ticks(int64(mc.itemsInPackage(e.flow, e.pkg)))
+	end := dataStart + clock.Ticks(int64(mc.sch.Flow(e.flow).PackageItems(mc.s, e.pkg)))
 	g.busyUntil = end
 	g.lastBusy = end
 	if mc.cfg.Trace.Enabled() {
@@ -969,7 +886,7 @@ func (mc *machine) runFill(i int, grantAt engine.Time) {
 	g := &mc.segDyn[si]
 	clock := mc.segStat[si].clock
 	buf := &mc.bufStat[d.xferBuf]
-	items := mc.itemsInPackage(e.flow, e.pkg)
+	items := mc.sch.Flow(e.flow).PackageItems(mc.s, e.pkg)
 	start := clock.NextEdge(grantAt)
 	dataStart := start + clock.Ticks(mc.grantTicks()+mc.header)
 	end := dataStart + clock.Ticks(int64(items))
@@ -996,7 +913,7 @@ func (mc *machine) finishFill(i int, now engine.Time) {
 	bd := &mc.bufDyn[b]
 	si := st.seg - 1
 	g := &mc.segDyn[si]
-	items := mc.itemsInPackage(e.flow, e.pkg)
+	items := mc.sch.Flow(e.flow).PackageItems(mc.s, e.pkg)
 	bst := &mc.busSt[buf.bu.Left-1]
 	mc.caRelease(now)
 	fullAt := now + mc.segStat[si].clock.Ticks(mc.syncTicks())
@@ -1250,13 +1167,9 @@ func (mc *machine) report() *Report {
 		})
 	}
 	for si, st := range mc.sch.Stages() {
-		pkgs := 0
-		for _, id := range st.Flows {
-			pkgs += mc.sch.Packages(id)
-		}
 		r.Stages = append(r.Stages, StageStats{
 			Order:    st.Order,
-			Packages: pkgs,
+			Packages: mc.sch.StagePackages(si),
 			StartPs:  mc.stageStart[si],
 			EndPs:    mc.stageEnd[si],
 		})

@@ -209,7 +209,7 @@ func TestMachineResetAllocs(t *testing.T) {
 // machine re-running the MP3 estimation allocates well under half of
 // what a fresh machine spends per run (the flat arrays, bound
 // handlers, kernel slots and queues are all reused; what remains is
-// the emission-program derivation and the report assembly).
+// the schedule extraction and the report assembly).
 func TestMachineWarmRunAllocs(t *testing.T) {
 	m, plat := apps.MP3Model(), apps.MP3Platform3(36)
 	fresh := testing.AllocsPerRun(10, func() {

@@ -62,6 +62,26 @@ func (f Flow) Packages(s int) int {
 	return (f.Items + s - 1) / s
 }
 
+// PackageItems returns the number of data items the pkg-th (1-based)
+// package carries at package size s: s, except for a possibly partial
+// final package, and zero past the end of the flow.
+func (f Flow) PackageItems(s, pkg int) int {
+	return max(0, min(s, f.Items-(pkg-1)*s))
+}
+
+// PackageTicks returns the processing cost of the pkg-th (1-based)
+// package at package size s: C, scaled by the package's item count
+// relative to the model's nominal package size when one is declared
+// (nominal > 0) — work is a property of the data, not of the
+// packaging.
+func (f Flow) PackageTicks(s, nominal, pkg int) int64 {
+	c := int64(f.Ticks)
+	if nominal <= 0 {
+		return c
+	}
+	return (c*int64(f.PackageItems(s, pkg)) + int64(nominal) - 1) / int64(nominal)
+}
+
 // Name renders the flow in the encoded form used by the generated XML
 // schemas, e.g. "P1_576_1_250" for a flow targeting P1 with 576 data
 // items, ordering number 1 and 250 ticks per package.

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"math/rand"
 	"testing"
 
 	"segbus/internal/psdf"
@@ -73,93 +72,6 @@ func TestStagesGroupByOrder(t *testing.T) {
 			if got := s.StageOf(id); stages[got].Order != st.Order {
 				t.Errorf("StageOf(%d) inconsistent", id)
 			}
-		}
-	}
-}
-
-func TestInputOutputPackages(t *testing.T) {
-	m := psdf.NewModel("inout")
-	m.AddFlow(psdf.Flow{Source: 0, Target: 1, Items: 72, Order: 1})  // 2 pkgs
-	m.AddFlow(psdf.Flow{Source: 0, Target: 2, Items: 36, Order: 1})  // 1 pkg
-	m.AddFlow(psdf.Flow{Source: 1, Target: 2, Items: 108, Order: 2}) // 3 pkgs
-	s, err := Extract(m, 36)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.OutputPackages(0); got != 3 {
-		t.Errorf("OutputPackages(P0) = %d, want 3", got)
-	}
-	if got := s.InputPackages(1); got != 2 {
-		t.Errorf("InputPackages(P1) = %d, want 2", got)
-	}
-	if got := s.InputPackages(2); got != 4 {
-		t.Errorf("InputPackages(P2) = %d, want 4", got)
-	}
-	if got := s.OutputPackages(2); got != 0 {
-		t.Errorf("OutputPackages(P2) = %d, want 0", got)
-	}
-}
-
-func TestInputsRequiredProportional(t *testing.T) {
-	// P1 consumes 4 packages and produces 2: emission k requires
-	// ceil(k*4/2) inputs.
-	m := psdf.NewModel("prop")
-	m.AddFlow(psdf.Flow{Source: 0, Target: 1, Items: 144, Order: 1}) // 4 pkgs in
-	m.AddFlow(psdf.Flow{Source: 1, Target: 2, Items: 72, Order: 2})  // 2 pkgs out
-	s, err := Extract(m, 36)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.InputsRequired(1, 1); got != 2 {
-		t.Errorf("InputsRequired(P1, 1) = %d, want 2", got)
-	}
-	if got := s.InputsRequired(1, 2); got != 4 {
-		t.Errorf("InputsRequired(P1, 2) = %d, want 4", got)
-	}
-	if got := s.InputsRequired(1, 99); got != 4 {
-		t.Errorf("InputsRequired(P1, beyond) = %d, want capped at 4", got)
-	}
-}
-
-func TestInputsRequiredSourceIsZero(t *testing.T) {
-	s, err := Extract(chain(), 36)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 1; k <= 3; k++ {
-		if got := s.InputsRequired(0, k); got != 0 {
-			t.Errorf("InputsRequired(source, %d) = %d, want 0", k, got)
-		}
-	}
-}
-
-func TestInputsRequiredMonotonic(t *testing.T) {
-	// Property: the gate never decreases with k and never exceeds the
-	// total input count.
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 100; trial++ {
-		m := psdf.NewModel("mono")
-		inPkgs := 1 + rng.Intn(20)
-		outPkgs := 1 + rng.Intn(20)
-		m.AddFlow(psdf.Flow{Source: 0, Target: 1, Items: 36 * inPkgs, Order: 1})
-		m.AddFlow(psdf.Flow{Source: 1, Target: 2, Items: 36 * outPkgs, Order: 2})
-		s, err := Extract(m, 36)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prev := 0
-		for k := 1; k <= outPkgs; k++ {
-			got := s.InputsRequired(1, k)
-			if got < prev {
-				t.Fatalf("gate decreased: k=%d got=%d prev=%d", k, got, prev)
-			}
-			if got > inPkgs {
-				t.Fatalf("gate exceeds inputs: k=%d got=%d in=%d", k, got, inPkgs)
-			}
-			prev = got
-		}
-		if got := s.InputsRequired(1, outPkgs); got != inPkgs {
-			t.Fatalf("final emission must require all inputs: got %d want %d", got, inPkgs)
 		}
 	}
 }

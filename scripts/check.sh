@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# check.sh — the repo's CI gate: formatting, vet, build, the full
-# race-enabled test suite, an order-shuffled re-run (catches
-# inter-test coupling), the segbus-conform differential smoke sweep
-# and extra race rounds of the segbus-served stress test. Run from
-# anywhere inside the repo.
+# check.sh — the repo's CI gate: formatting, vet, build, vet and tests
+# of the segbench benchmark module, the full race-enabled test suite,
+# an order-shuffled re-run (catches inter-test coupling), the
+# segbus-conform differential smoke sweep and extra race rounds of the
+# segbus-served stress test. Run from anywhere inside the repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -16,6 +16,12 @@ fi
 
 go vet ./...
 go build ./...
+
+# The benchmark is its own module under segbench/, which the root
+# `go test ./...` does not enter: vet and test it here, so a change to
+# an API it calls fails CI instead of the benchmark run.
+go -C segbench vet ./...
+go -C segbench test ./...
 go test -race ./...
 go test -shuffle=on -count=1 ./...
 
