@@ -21,6 +21,7 @@ package psdf
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -107,17 +108,26 @@ func ParseFlowName(source ProcessID, name string) (Flow, error) {
 	if err != nil {
 		return Flow{}, fmt.Errorf("psdf: flow name %q: %v", name, err)
 	}
-	var items, order, ticks int
-	if _, err := fmt.Sscanf(parts[1], "%d", &items); err != nil || fmt.Sprintf("%d", items) != parts[1] {
+	items, ok := canonicalInt(parts[1])
+	if !ok {
 		return Flow{}, fmt.Errorf("psdf: flow name %q: bad item count %q", name, parts[1])
 	}
-	if _, err := fmt.Sscanf(parts[2], "%d", &order); err != nil || fmt.Sprintf("%d", order) != parts[2] {
+	order, ok := canonicalInt(parts[2])
+	if !ok {
 		return Flow{}, fmt.Errorf("psdf: flow name %q: bad ordering number %q", name, parts[2])
 	}
-	if _, err := fmt.Sscanf(parts[3], "%d", &ticks); err != nil || fmt.Sprintf("%d", ticks) != parts[3] {
+	ticks, ok := canonicalInt(parts[3])
+	if !ok {
 		return Flow{}, fmt.Errorf("psdf: flow name %q: bad tick count %q", name, parts[3])
 	}
 	return Flow{Source: source, Target: target, Items: items, Order: order, Ticks: ticks}, nil
+}
+
+// canonicalInt parses s as a decimal int written the way Name renders
+// one: "+5", "05" and "5x" are refused, "-5" is accepted.
+func canonicalInt(s string) (int, bool) {
+	n, err := strconv.Atoi(s)
+	return n, err == nil && strconv.Itoa(n) == s
 }
 
 // ParseProcessName decodes a conventional process name ("P0", "P13")

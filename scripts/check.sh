@@ -25,6 +25,12 @@ go -C segbench test ./...
 go test -race ./...
 go test -shuffle=on -count=1 ./...
 
+# Differential fuzz smoke for scheme ingest: the single-pass scanner
+# must read every document it accepts exactly as encoding/xml does,
+# and ParsePSDF/ParsePSM must match the decoder-only path.
+go test -run '^$' -fuzz '^FuzzParsePSDF$' -fuzztime 15s ./internal/schema
+go test -run '^$' -fuzz '^FuzzParsePSM$' -fuzztime 15s ./internal/schema
+
 # Bench smoke: every benchmark must still run (one iteration each) —
 # catches bit-rot in the bench harnesses without paying for stable
 # timings.
