@@ -13,7 +13,9 @@
 package m2t
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -21,18 +23,19 @@ import (
 	"segbus/internal/psdf"
 )
 
+// xmlEscaper escapes the five XML special characters; a Replacer is
+// safe for concurrent use, so one serves every rendering.
+var xmlEscaper = strings.NewReplacer(
+	"&", "&amp;",
+	"<", "&lt;",
+	">", "&gt;",
+	`"`, "&quot;",
+	"'", "&apos;",
+)
+
 // xmlEscape escapes the five XML special characters in text content
 // and attribute values.
-func xmlEscape(s string) string {
-	r := strings.NewReplacer(
-		"&", "&amp;",
-		"<", "&lt;",
-		">", "&gt;",
-		`"`, "&quot;",
-		"'", "&apos;",
-	)
-	return r.Replace(s)
-}
+func xmlEscape(s string) string { return xmlEscaper.Replace(s) }
 
 // builder assembles an indented XML document.
 type builder struct {
@@ -88,14 +91,54 @@ func toUpper(c rune) rune {
 	return c
 }
 
+// flowsBySource returns, for each of procs (ascending), the process's
+// outgoing flows in the order FlowsFrom lists them — by ordering
+// number, then target — using one sort of the whole flow list instead
+// of a FlowsFrom scan per process. Flows whose source is not in procs
+// belong to no group, as FlowsFrom over procs never lists them.
+func flowsBySource(m *psdf.Model, procs []psdf.ProcessID) [][]psdf.Flow {
+	flows := m.Flows() // by (Order, Source, Target)
+	slices.SortStableFunc(flows, func(a, b psdf.Flow) int { return cmp.Compare(a.Source, b.Source) })
+	out := make([][]psdf.Flow, len(procs))
+	j := 0
+	for i, p := range procs {
+		for j < len(flows) && flows[j].Source < p {
+			j++
+		}
+		k := j
+		for k < len(flows) && flows[k].Source == p {
+			k++
+		}
+		out[i], j = flows[j:k], k
+	}
+	return out
+}
+
+// validatePSDF and validatePSM are the gates of GeneratePSDF and
+// GeneratePSM, shared with AppendCanonical so both refuse the same
+// models with the same error text.
+func validatePSDF(m *psdf.Model) error {
+	if err := m.Validate(); err != nil {
+		return fmt.Errorf("m2t: refusing to transform an invalid PSDF model: %w", err)
+	}
+	return nil
+}
+
+func validatePSM(p *platform.Platform) error {
+	if err := p.Validate(); err != nil {
+		return fmt.Errorf("m2t: refusing to transform an invalid platform: %w", err)
+	}
+	return nil
+}
+
 // GeneratePSDF renders the PSDF model as an XML Schema document: a
 // root element referencing the application complexType, which is
 // composed of one element per process; each process complexType lists
 // its outgoing transfers as elements whose names encode the flow
 // tuples ("P1_576_1_250" — target, data items, ordering, ticks).
 func GeneratePSDF(m *psdf.Model) ([]byte, error) {
-	if err := m.Validate(); err != nil {
-		return nil, fmt.Errorf("m2t: refusing to transform an invalid PSDF model: %w", err)
+	if err := validatePSDF(m); err != nil {
+		return nil, err
 	}
 	w := &builder{}
 	w.line(`<?xml version="1.0" encoding="UTF-8"?>`)
@@ -115,10 +158,10 @@ func GeneratePSDF(m *psdf.Model) ([]byte, error) {
 	}
 	w.close("xs:all")
 	w.close("xs:complexType")
-	for _, p := range procs {
+	bySource := flowsBySource(m, procs)
+	for i, p := range procs {
 		w.open(`<xs:complexType name="%s">`, p)
-		flows := m.FlowsFrom(p)
-		if len(flows) > 0 {
+		if flows := bySource[i]; len(flows) > 0 {
 			w.open(`<xs:all>`)
 			for _, f := range flows {
 				w.line(`<xs:element name="%s" type="Transfer"/>`, xmlEscape(f.Name()))
@@ -140,8 +183,8 @@ func GeneratePSDF(m *psdf.Model) ([]byte, error) {
 // its hosted processes and its arbiter; and each process complexType
 // carrying its master/slave interface elements (Figure 5 hierarchy).
 func GeneratePSM(p *platform.Platform) ([]byte, error) {
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("m2t: refusing to transform an invalid platform: %w", err)
+	if err := validatePSM(p); err != nil {
+		return nil, err
 	}
 	w := &builder{}
 	w.line(`<?xml version="1.0" encoding="UTF-8"?>`)

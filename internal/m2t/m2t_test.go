@@ -3,8 +3,10 @@ package m2t
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"segbus/internal/apps"
 	"segbus/internal/platform"
@@ -185,5 +187,36 @@ func TestEngineeringSetErrors(t *testing.T) {
 func TestSetKindString(t *testing.T) {
 	if PSDFSet.String() != "PSDF" || PSMSet.String() != "PSM" {
 		t.Error("SetKind.String() mismatch")
+	}
+}
+
+// TestGeneratePSDFScalesLinearly fences the renderer's cost on large
+// models: an 8× longer process chain must cost well under 20× as much
+// (a per-process scan of the flow list measures about 30×).
+func TestGeneratePSDFScalesLinearly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing test")
+	}
+	timeGenerate := func(n int) time.Duration {
+		m := psdf.NewModel("chain")
+		for i := 0; i+1 < n; i++ {
+			m.AddFlow(psdf.Flow{Source: psdf.ProcessID(i), Target: psdf.ProcessID(i + 1), Items: 36, Order: i + 1, Ticks: 5})
+		}
+		best := time.Duration(1<<63 - 1)
+		for i := 0; i < 3; i++ {
+			runtime.GC() // start each run without the previous one's garbage
+			start := time.Now()
+			if _, err := GeneratePSDF(m); err != nil {
+				t.Fatal(err)
+			}
+			best = min(best, time.Since(start))
+		}
+		return best
+	}
+	small, large := timeGenerate(2000), timeGenerate(16000)
+	ratio := float64(large) / float64(small)
+	t.Logf("2k processes: %v, 16k: %v (%.1f×)", small, large, ratio)
+	if ratio >= 20 {
+		t.Errorf("16k-process PSDF takes %v, %.1f× the 2k-process %v; want < 20×", large, ratio, small)
 	}
 }

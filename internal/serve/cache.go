@@ -20,9 +20,10 @@ const maxCacheShards = 256
 
 // Cache is the content-addressed result cache: core.Key addresses map
 // to serialized report JSON. Because equal keys promise byte-identical
-// reports (the key covers the canonical schemes and every
-// report-affecting option), a hit can be served verbatim — the cache
-// stores the exact bytes a cold run would produce.
+// reports (the key covers every value the m2t schemes carry, clocks at
+// full precision, and every report-affecting option), a hit can be
+// served verbatim — the cache stores the exact bytes a cold run would
+// produce.
 //
 // The cache is sharded: a power-of-two number of independent LRU
 // shards, each behind its own mutex, with a key routed by its

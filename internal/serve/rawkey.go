@@ -12,7 +12,7 @@ import (
 // request fields, populated whenever a single-estimate request earns
 // a 200. A client replaying an identical request body — the common
 // shape of design-space probing loops and dashboard refreshes — is
-// answered before any XML parsing, canonicalisation or preflight
+// answered before any XML parsing, key derivation or preflight
 // work happens: one hash over bytes already in memory, one map
 // lookup, one pre-serialized []byte.
 //
@@ -21,8 +21,9 @@ import (
 // so it produces them again. Requests differing in irrelevant bytes
 // (scheme whitespace, attribute order) miss here and fall through to
 // the canonical content-addressed cache, which recognises them by
-// their m2t-canonicalised key; the raw index is strictly a cheaper
-// front end, never a replacement.
+// core.Key — a hash of the parsed pair's canonical binary encoding,
+// equal exactly when the pairs render to the same m2t schemes; the
+// raw index is strictly a cheaper front end, never a replacement.
 
 // rawHasher is a pooled scratch for deriving raw keys with zero
 // steady-state heap allocations: the SHA-256 state is reused across

@@ -9,7 +9,9 @@
 // managed by four mechanisms:
 //
 //   - a sharded content-addressed LRU result cache (Cache) keyed by
-//     core.Key's canonical hash of model + platform + options, so
+//     core.Key, a hash of the parsed model + platform's canonical
+//     binary encoding (equal exactly when the two pairs render to the
+//     same m2t schemes) and the report-affecting options, so
 //     repeated design-space probes are served without re-simulation
 //     and concurrent probes for different keys rarely share a lock —
 //     fronted by a raw-request index that recognises a verbatim

@@ -31,6 +31,10 @@ go test -shuffle=on -count=1 ./...
 go test -run '^$' -fuzz '^FuzzParsePSDF$' -fuzztime 15s ./internal/schema
 go test -run '^$' -fuzz '^FuzzParsePSM$' -fuzztime 15s ./internal/schema
 
+# Differential fuzz smoke for the cache key: two parsed scheme pairs
+# must share a core.Key exactly when their m2t renderings are equal.
+go test -run '^$' -fuzz '^FuzzKeyMatchesRendering$' -fuzztime 15s ./internal/core
+
 # Bench smoke: every benchmark must still run (one iteration each) —
 # catches bit-rot in the bench harnesses without paying for stable
 # timings.
