@@ -144,6 +144,13 @@ type Config struct {
 // Config.DetectTicks is zero.
 const DefaultDetectTicks = 4
 
+// MaxTicks bounds Config.DetectTicks and every Overheads field. At the
+// slowest clock a scheme can declare (1 Hz, a 10¹² ps period) a delay
+// of MaxTicks cycles spans 1.05·10¹⁸ ps, under an eighth of the int64
+// picosecond range: adding one to a simulated time cannot wrap it, and
+// the CA's detect ticks cannot turn its execution time negative.
+const MaxTicks = 1 << 20
+
 // Event-ordering priorities within one picosecond: transaction effects
 // land first, then FU compute completions, then grant decisions — so a
 // grant decision always observes every request raised at that instant.

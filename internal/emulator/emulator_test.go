@@ -2,6 +2,7 @@ package emulator
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -540,11 +541,35 @@ func TestConfigValidation(t *testing.T) {
 		{Overheads: Overheads{CAResetTicks: -3}},
 		{DetectTicks: -1},
 		{Policy: Policy(99)},
+		{DetectTicks: MaxTicks + 1},
+		{DetectTicks: math.MaxInt64},
+		{Overheads: Overheads{GrantTicks: MaxTicks + 1}},
+		{Overheads: Overheads{SyncTicks: MaxTicks + 1}},
+		{Overheads: Overheads{CASetTicks: MaxTicks + 1}},
+		{Overheads: Overheads{CAResetTicks: math.MaxInt}},
 	}
 	for i, cfg := range bad {
 		if _, err := Run(m, p, cfg); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
+	}
+}
+
+// TestTicksAtLimit runs every tick field at MaxTicks on 1 Hz clocks,
+// the slowest a scheme can declare: the CA's execution time is exactly
+// its tick count times the period, with no wrap.
+func TestTicksAtLimit(t *testing.T) {
+	m := psdf.NewModel("two")
+	m.AddFlow(psdf.Flow{Source: 0, Target: 1, Items: 36, Order: 1, Ticks: 10})
+	p := platform.New("slow", 1, 36)
+	p.AddSegment(1, 0, 1)
+	r, err := Run(m, p, Config{DetectTicks: MaxTicks, Overheads: Overheads{
+		GrantTicks: MaxTicks, SyncTicks: MaxTicks, CASetTicks: MaxTicks, CAResetTicks: MaxTicks}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.CA.TCT <= MaxTicks || int64(r.CA.ExecTimePs) != r.CA.TCT*1e12 || r.ExecutionTimePs < r.CA.ExecTimePs {
+		t.Errorf("CA TCT %d, exec %d ps, total %d ps", r.CA.TCT, r.CA.ExecTimePs, r.ExecutionTimePs)
 	}
 }
 

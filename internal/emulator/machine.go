@@ -50,7 +50,7 @@ func NewMachine() *Machine {
 // machine from scratch, so it is total even after a previous run
 // failed or was abandoned mid-flight.
 func (x *Machine) Run(m *psdf.Model, plat *platform.Platform, cfg Config) (*Report, error) {
-	if err := validateConfig(cfg); err != nil {
+	if err := ValidateConfig(cfg); err != nil {
 		return nil, err
 	}
 	if err := m.Validate(); err != nil {
@@ -88,14 +88,23 @@ func (x *Machine) Run(m *psdf.Model, plat *platform.Platform, cfg Config) (*Repo
 // the next checkout.
 func (x *Machine) Reset() { x.mc.reset() }
 
-// validateConfig rejects configurations the machine cannot honour.
-func validateConfig(cfg Config) error {
+// ValidateConfig rejects configurations the machine cannot honour:
+// negative tick counts, tick counts above MaxTicks and unknown
+// arbitration policies. Run applies it first; a service applies it
+// before it spends anything on a request.
+func ValidateConfig(cfg Config) error {
 	o := cfg.Overheads
 	if o.GrantTicks < 0 || o.SyncTicks < 0 || o.CASetTicks < 0 || o.CAResetTicks < 0 {
 		return fmt.Errorf("emulator: negative overhead ticks in %+v", o)
 	}
+	if o.GrantTicks > MaxTicks || o.SyncTicks > MaxTicks || o.CASetTicks > MaxTicks || o.CAResetTicks > MaxTicks {
+		return fmt.Errorf("emulator: overhead ticks in %+v exceed the limit of %d", o, MaxTicks)
+	}
 	if cfg.DetectTicks < 0 {
 		return fmt.Errorf("emulator: negative detect ticks %d", cfg.DetectTicks)
+	}
+	if cfg.DetectTicks > MaxTicks {
+		return fmt.Errorf("emulator: detect ticks %d exceed the limit of %d", cfg.DetectTicks, MaxTicks)
 	}
 	switch cfg.Policy {
 	case PolicyBUFirst, PolicyFIFO, PolicyFixedPriority:

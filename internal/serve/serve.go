@@ -5,6 +5,11 @@
 // JSON, byte-identical to `segbus-emu -report-json` on the same
 // schemes.
 //
+// A request body is read once and decoded by DecodeEstimate, a
+// single-pass reader for the envelope clients send that hands every
+// other body to encoding/json, so the accepted language and every
+// error text stay encoding/json's (see decode.go).
+//
 // The service introduces the repository's first shared mutable state,
 // managed by four mechanisms:
 //
@@ -63,7 +68,7 @@ import (
 const (
 	// CodeBadRequest marks a malformed request envelope: invalid
 	// JSON, an unsupported method, an oversized body or an unknown
-	// option value.
+	// or out-of-range option value.
 	CodeBadRequest = "SB900"
 
 	// CodeBadScheme marks a PSDF or PSM scheme that failed parsing or
@@ -107,6 +112,9 @@ type EstimateRequest struct {
 	Policy string `json:"policy,omitempty"`
 
 	// DetectTicks overrides the monitor's end-detection latency.
+	// Here and in Overheads, tick counts emulator.ValidateConfig
+	// refuses (negative or above emulator.MaxTicks) are answered with
+	// SB900 before any emulation work.
 	DetectTicks int64 `json:"detect_ticks,omitempty"`
 
 	// Overheads selects a non-default timing model.
@@ -490,6 +498,10 @@ func (s *Server) decodeRequest(req *EstimateRequest) (*parsed, outcome) {
 			CAResetTicks: req.Overheads.CAResetTicks,
 		}
 	}
+	if err := emulator.ValidateConfig(emulator.Config{
+		Overheads: opts.Overheads, DetectTicks: opts.DetectTicks, Policy: policy}); err != nil {
+		return nil, errOutcome(http.StatusBadRequest, CodeBadRequest, err.Error(), nil)
+	}
 	if pre := core.Preflight(m, plat); pre.HasErrors() {
 		e, warns, _ := pre.Counts()
 		return nil, errOutcome(http.StatusBadRequest, CodeBadModel,
@@ -664,8 +676,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	tr := reqtrace.FromContext(r.Context())
 	sp := tr.Span("decode")
 	var req EstimateRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
+	if err := s.decodeBody(w, r, &req); err != nil {
 		tr.Attr(sp, "code", CodeBadRequest)
 		tr.End(sp)
 		fail(w, http.StatusBadRequest, CodeBadRequest, "request body: "+err.Error(), nil)

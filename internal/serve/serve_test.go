@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -14,6 +15,7 @@ import (
 
 	"segbus/internal/conform"
 	"segbus/internal/core"
+	"segbus/internal/emulator"
 	"segbus/internal/obs"
 	"segbus/internal/schema"
 )
@@ -253,6 +255,46 @@ func TestEstimateBadRequests(t *testing.T) {
 			t.Errorf("code %s", e.Code)
 		}
 	})
+}
+
+// TestEstimateRejectsBadOptions pins the option gate: tick counts the
+// emulator refuses — negative, or past emulator.MaxTicks where they
+// could wrap the picosecond clock — are bad requests, answered before
+// any emulation runs, with the emulator's own message.
+func TestEstimateRejectsBadOptions(t *testing.T) {
+	psdfXML, psmXML := goldenSchemes(t)
+	emulations := 0
+	s := New(Config{Workers: 1, Queue: 1, CacheEntries: 4, OnEmulate: func() { emulations++ }})
+	h := s.Handler()
+	for _, c := range []struct {
+		req  EstimateRequest
+		want string
+	}{
+		{EstimateRequest{DetectTicks: -5}, "emulator: negative detect ticks -5"},
+		{EstimateRequest{DetectTicks: math.MaxInt64}, "emulator: detect ticks 9223372036854775807 exceed the limit of 1048576"},
+		{EstimateRequest{DetectTicks: emulator.MaxTicks + 1}, "emulator: detect ticks 1048577 exceed the limit of 1048576"},
+		{EstimateRequest{Overheads: &OverheadsSpec{SyncTicks: -1}},
+			"emulator: negative overhead ticks in {GrantTicks:0 SyncTicks:-1 CASetTicks:0 CAResetTicks:0}"},
+		{EstimateRequest{Overheads: &OverheadsSpec{CAResetTicks: math.MaxInt64}},
+			"emulator: overhead ticks in {GrantTicks:0 SyncTicks:0 CASetTicks:0 CAResetTicks:9223372036854775807} exceed the limit of 1048576"},
+	} {
+		c.req.PSDF, c.req.PSM = psdfXML, psmXML
+		rec := post(h, body(t, c.req))
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("want %q: status %d: %s", c.want, rec.Code, rec.Body.String())
+		}
+		if e := decodeError(t, rec); e.Code != CodeBadRequest || e.Error != c.want {
+			t.Errorf("got %+v, want %s %q", e, CodeBadRequest, c.want)
+		}
+	}
+	if emulations != 0 {
+		t.Errorf("%d emulations ran for rejected options", emulations)
+	}
+	// The limit itself is served.
+	rec := post(h, body(t, EstimateRequest{PSDF: psdfXML, PSM: psmXML, DetectTicks: emulator.MaxTicks}))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("detect ticks at the limit: status %d: %s", rec.Code, rec.Body.String())
+	}
 }
 
 func TestEstimatePreflightRejects(t *testing.T) {

@@ -35,6 +35,11 @@ go test -run '^$' -fuzz '^FuzzParsePSM$' -fuzztime 15s ./internal/schema
 # must share a core.Key exactly when their m2t renderings are equal.
 go test -run '^$' -fuzz '^FuzzKeyMatchesRendering$' -fuzztime 15s ./internal/core
 
+# Differential fuzz smoke for request decoding: the single-pass
+# /estimate reader must decode every body to the same request, and
+# fail with the same error, as encoding/json.
+go test -run '^$' -fuzz '^FuzzDecodeEstimate$' -fuzztime 15s ./internal/serve
+
 # Bench smoke: every benchmark must still run (one iteration each) —
 # catches bit-rot in the bench harnesses without paying for stable
 # timings.
