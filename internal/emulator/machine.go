@@ -174,6 +174,15 @@ type fuHooks struct {
 	fillEnd     engine.Handler    // first-hop fill completed
 }
 
+// flowRoute is the per-prime route of one flow: the FU slots of its
+// source and target (tgt is -1 for SystemOutput), the segment its
+// packages are delivered on and the CA chain hops between the source's
+// segment and that one.
+type flowRoute struct {
+	src, tgt  int
+	dst, hops int
+}
+
 // busReq is one pending request for a segment bus. Requests are queued
 // by value — the per-segment queues keep their backing arrays across
 // runs, so steady-state arbitration allocates nothing.
@@ -315,7 +324,8 @@ type machine struct {
 	fuStat []fuStatic
 	fuDyn  []fuDyn
 	fuHook []fuHooks // len only grows; active prefix is len(fuStat)
-	fuOf   map[psdf.ProcessID]int
+
+	route []flowRoute // indexed by sched.FlowID
 
 	segStat []segStatic // index 0 = segment 1
 	segDyn  []segDyn
@@ -357,6 +367,21 @@ func sortFUs(s []fuStatic) {
 		}
 		s[j+1] = e
 	}
+}
+
+// fuSlot returns the FU slot hosting proc, searching the slots sorted
+// by sortFUs; ok is false when no FU hosts it.
+func fuSlot(s []fuStatic, proc psdf.ProcessID) (i int, ok bool) {
+	lo, hi := 0, len(s)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s[m].proc < proc {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(s) && s[lo].proc == proc
 }
 
 // grown extends s to length n, reusing its backing array and
@@ -486,27 +511,31 @@ func (mc *machine) prime(plat *platform.Platform, sch *sched.Schedule, nominal i
 		}
 	}
 	sortFUs(mc.fuStat)
-	if mc.fuOf == nil {
-		mc.fuOf = make(map[psdf.ProcessID]int, nFU)
-	} else {
-		clear(mc.fuOf)
-	}
-	for i := range mc.fuStat {
-		mc.fuOf[mc.fuStat[i].proc] = i
-	}
 	for len(mc.fuHook) < nFU {
 		mc.bindFU(len(mc.fuHook))
 	}
 
-	// Each FU emits its flows' packages in canonical flow order; the
-	// schedule's per-order gate interleaves same-order pipelines.
+	// Route every flow once, so the per-package paths index a table
+	// instead of searching the platform. Each FU emits its flows'
+	// packages in canonical flow order; the schedule's per-order gate
+	// interleaves same-order pipelines.
+	mc.route = grown(mc.route, sch.NumFlows())
 	for i, f := range sch.Flows() {
-		fi, ok := mc.fuOf[f.Source]
+		src, ok := fuSlot(mc.fuStat, f.Source)
 		if !ok {
 			return fmt.Errorf("emulator: flow %v source not hosted", f)
 		}
+		r := flowRoute{src: src, tgt: -1, dst: mc.fuStat[src].seg}
+		if f.Target != psdf.SystemOutput {
+			if r.tgt, ok = fuSlot(mc.fuStat, f.Target); !ok {
+				return fmt.Errorf("emulator: flow %v target not hosted", f)
+			}
+			r.dst = mc.fuStat[r.tgt].seg
+		}
+		r.hops = plat.Hops(mc.fuStat[src].seg, r.dst)
+		mc.route[i] = r
 		if sch.Packages(sched.FlowID(i)) > 0 {
-			mc.fuStat[fi].flows = append(mc.fuStat[fi].flows, sched.FlowID(i))
+			mc.fuStat[src].flows = append(mc.fuStat[src].flows, sched.FlowID(i))
 		}
 	}
 
@@ -743,13 +772,8 @@ func flowLabel(f psdf.Flow) string {
 // the border-unit chain otherwise.
 func (mc *machine) requestTransfer(i int, now engine.Time) {
 	st, d := &mc.fuStat[i], &mc.fuDyn[i]
-	e := d.pending
-	f := mc.sch.Flow(e.flow)
-	src := st.seg
-	dst := src
-	if f.Target != psdf.SystemOutput {
-		dst = mc.plat.SegmentOf(f.Target)
-	}
+	r := &mc.route[d.pending.flow]
+	src, dst := st.seg, r.dst
 	if src == dst {
 		mc.segDyn[src-1].intraReq++
 		mc.pushRequest(src-1, busReq{at: now, prio: 1, id: int(st.proc)}, mc.fuHook[i].intraRun)
@@ -759,7 +783,7 @@ func (mc *machine) requestTransfer(i int, now engine.Time) {
 	mc.segDyn[src-1].interReq++
 	rightward := dst > src
 	d.xferDst = dst
-	d.xferHops = mc.plat.Hops(src, dst)
+	d.xferHops = r.hops
 	buf := mc.firstBuffer(src, rightward)
 	d.xferBuf = buf
 	if mc.bufFree(buf) {
@@ -1072,22 +1096,20 @@ func (mc *machine) serveWaiters(b int, now engine.Time) {
 // advances, the stage accounting decrements, and blocked FUs are
 // re-examined.
 func (mc *machine) deliver(id sched.FlowID, pkg int, now engine.Time) {
-	f := mc.sch.Flow(id)
 	mc.met.delivered.Inc()
 	if now > mc.endPs {
 		mc.endPs = now
 	}
 	if mc.cfg.Observer != nil {
+		f := mc.sch.Flow(id)
 		mc.cfg.Observer.PackageDelivered(int(f.Source), int(f.Target), pkg, int64(now))
 	}
-	if si, ok := mc.fuOf[f.Source]; ok {
-		sd := &mc.fuDyn[si]
-		sd.endPs = now
-		sd.busy = false
-		mc.advanceFU(si, now)
-	}
-	if f.Target != psdf.SystemOutput {
-		ti := mc.fuOf[f.Target]
+	r := &mc.route[id]
+	sd := &mc.fuDyn[r.src]
+	sd.endPs = now
+	sd.busy = false
+	mc.advanceFU(r.src, now)
+	if ti := r.tgt; ti >= 0 {
 		td := &mc.fuDyn[ti]
 		td.received++
 		td.lastRecv = now

@@ -12,11 +12,13 @@
 // 32-byte entries backed by a pooled slot array with an intrusive
 // free list: scheduling reuses slots, firing and cancellation bump a
 // per-slot generation, and an EventID is a (slot, generation) pair
-// rather than a retained pointer. Steady-state operation — events
-// fired at the rate they are scheduled — performs zero heap
-// allocations (pinned by TestSteadyStateAllocs), and the dispatch
-// order is byte-identical to the original container/heap kernel
-// (pinned by TestDispatchOrderGolden).
+// rather than a retained pointer. A push sifts up with the new key in
+// scalars and writes the entry once, in place, into its final slot.
+// Steady-state operation — events fired at the rate they are
+// scheduled — performs zero heap allocations (pinned by
+// TestSteadyStateAllocs), and the dispatch order is byte-identical to
+// the original container/heap kernel (pinned by
+// TestDispatchOrderGolden).
 package engine
 
 import (
@@ -199,22 +201,6 @@ func (s *Sim) freeSlot(i int32) {
 	s.freeHead = i
 }
 
-// pushHeap appends e and restores the heap order (sift-up).
-func (s *Sim) pushHeap(e heapEnt) {
-	s.heap = append(s.heap, e)
-	h := s.heap
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !entLess(e, h[p]) {
-			break
-		}
-		h[i] = h[p]
-		i = p
-	}
-	h[i] = e
-}
-
 // siftDown re-inserts e — the entry displaced from the tail when the
 // root was removed — into the first n heap entries, starting at the
 // root.
@@ -268,7 +254,31 @@ func (s *Sim) At(at Time, priority int, fn Handler) EventID {
 		panic("engine: nil event handler")
 	}
 	slot, gen := s.allocSlot(fn)
-	s.pushHeap(heapEnt{at: at, prio: priority, seq: s.seq, slot: slot, gen: gen})
+	// Sift up with the new entry's key held in scalars and write it
+	// field by field into its final slot: building a heapEnt and
+	// copying it in stalls on store forwarding (narrow stores re-read
+	// as wide loads). The new sequence number exceeds every queued
+	// one, so the entry moves above a parent only when it is strictly
+	// earlier in (time, priority).
+	h := s.heap
+	i := len(h)
+	if i < cap(h) {
+		h = h[:i+1]
+	} else {
+		h = append(h, heapEnt{})
+	}
+	for i > 0 {
+		p := (i - 1) >> 2
+		q := &h[p]
+		if q.at < at || q.at == at && q.prio <= priority {
+			break
+		}
+		h[i] = *q
+		i = p
+	}
+	e := &h[i]
+	e.at, e.seq, e.prio, e.slot, e.gen = at, s.seq, priority, slot, gen
+	s.heap = h
 	s.seq++
 	s.live++
 	return EventID{slot: slot + 1, gen: gen}

@@ -85,10 +85,12 @@ func (d *stealDeque) push(items []int) {
 
 // StealRun executes task(i) for every i in [0, n) on a work-stealing
 // worker pool and returns when all tasks have finished. Indices are
-// dealt round-robin across the workers' deques; an idle worker steals
-// from victims in a seeded random order and exits once a full sweep
-// finds every deque empty (tasks never spawn tasks, so an empty
-// sweep is final).
+// dealt round-robin across the workers' deques, and each worker runs
+// its own deque from the tail, largest index first: a caller that
+// lays out its costliest tasks last has every worker start with one
+// of them (internal/sweep does). An idle worker steals from victims
+// in a seeded random order and exits once a full sweep finds every
+// deque empty (tasks never spawn tasks, so an empty sweep is final).
 func StealRun(n int, opts StealOptions, task func(i int)) {
 	if n <= 0 {
 		return

@@ -12,6 +12,7 @@ package sweep
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"sync/atomic"
 
@@ -65,29 +66,75 @@ func first(opts []Options) Options {
 // curve evaluates n variants of base concurrently, on the
 // work-stealing scheduler with pooled machines: every variant of one
 // curve shares a platform shape, so after the first sample each
-// worker's emulations run on a warm arena, and a straggler (small
-// package sizes cost the most) no longer serialises the tail. vary
-// sets the swept field of variant i's clone of base and returns the
-// value it set.
+// worker's emulations run on a warm arena. vary sets the swept field
+// of variant i's clone of base and returns the value it set.
+//
+// A sweep's cost is dominated by its costliest point (at package size
+// 1 a 16-frame MP3 sweep spends over a third of its serial work on that
+// one sample), so the variants are dispatched costliest first: started
+// last, that point serialises the tail of the whole curve. Each variant
+// is priced by its package count before any emulation runs (see
+// dispatchOrder).
 func curve(m *psdf.Model, base *platform.Platform, param string, n int, o Options, vary func(p *platform.Platform, i int) int64) Curve {
 	machines := pool.ForWorkers(o.Workers)
 	c := Curve{Param: param, Points: make([]Point, n)}
+	variants := make([]*platform.Platform, n)
+	prices := make([]int64, n)
+	flows := m.Flows()
+	for i := range variants {
+		variants[i] = base.Clone()
+		c.Points[i].Value = vary(variants[i], i)
+		prices[i] = packageCount(flows, variants[i].PackageSize)
+	}
+	order := dispatchOrder(prices)
 	var done, failed atomic.Int64
-	parallel.StealRun(n, parallel.StealOptions{Workers: o.Workers, Seed: o.Seed}, func(i int) {
-		p := base.Clone()
-		pt := Point{Value: vary(p, i)}
-		r, err := machines.Run(m, p, emulator.Config{})
+	parallel.StealRun(n, parallel.StealOptions{Workers: o.Workers, Seed: o.Seed}, func(j int) {
+		i := order[j]
+		pt := &c.Points[i]
+		r, err := machines.Run(m, variants[i], emulator.Config{})
 		if err != nil {
 			pt.Err = err
 			failed.Add(1)
 		} else {
 			pt.ExecPs = int64(r.ExecutionTimePs)
 		}
-		c.Points[i] = pt
 		o.Heartbeat.Tick(int(done.Add(1)), int(failed.Load()))
 	})
 	o.Heartbeat.Final(n, int(failed.Load()))
 	return c
+}
+
+// packageCount prices one variant: the packages m's flows split into
+// at package size s, Σ ⌈items/s⌉, which tracks the emulation's event
+// count without extracting a schedule. A non-positive size prices at
+// zero; its emulation fails validation before doing any work.
+func packageCount(flows []psdf.Flow, s int) int64 {
+	if s <= 0 {
+		return 0
+	}
+	var n int64
+	for _, f := range flows {
+		n += int64(f.Packages(s))
+	}
+	return n
+}
+
+// dispatchOrder maps StealRun's task indices to variants so that the
+// costliest variants run first: order[j] is the variant task j
+// evaluates. StealRun deals indices round-robin and each worker pops
+// its deque from the tail, so the variants are laid out by ascending
+// price — the w costliest then sit at the last w indices, one at the
+// tail of each worker's deque, and every worker works through its
+// share costliest first, whatever the worker count. Equal prices are
+// laid out in reverse input order, so they are dispatched in input
+// order.
+func dispatchOrder(prices []int64) []int {
+	order := make([]int, len(prices))
+	for j := range order {
+		order[j] = len(order) - 1 - j
+	}
+	sort.SliceStable(order, func(a, b int) bool { return prices[order[a]] < prices[order[b]] })
+	return order
 }
 
 // PackageSizes sweeps the platform package size.

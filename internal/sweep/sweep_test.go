@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"segbus/internal/emulator"
 	"segbus/internal/obs"
 	"segbus/internal/platform"
+	"segbus/internal/psdf"
 )
 
 func TestPackageSizesCurve(t *testing.T) {
@@ -151,6 +153,116 @@ func TestCurveMatchesFreshRuns(t *testing.T) {
 	}
 	if !reflect.DeepEqual(base, apps.MP3Platform3(36)) {
 		t.Error("base platform mutated")
+	}
+}
+
+// TestPackageSizesInvalidSizes: non-positive sizes are priced without
+// panicking, fail with their validation error, and leave the valid
+// point's estimate untouched, whatever their position in the sweep.
+func TestPackageSizesInvalidSizes(t *testing.T) {
+	m := apps.MP3Model()
+	for _, sizes := range [][]int{{0, -3, 36}, {36, -3, 0}} {
+		c := PackageSizes(m, apps.MP3Platform3(36), sizes)
+		for i, pt := range c.Points {
+			if pt.Value != int64(sizes[i]) {
+				t.Fatalf("%v: point %d has value %d", sizes, i, pt.Value)
+			}
+			if sizes[i] == 36 {
+				if pt.Err != nil || pt.ExecPs != 490386897 {
+					t.Errorf("%v: s=36 gave %d ps, %v; want 490386897 ps", sizes, pt.ExecPs, pt.Err)
+				}
+				continue
+			}
+			want := fmt.Sprintf("platform: SBP-3seg: SB021: non-positive package size %d", sizes[i])
+			if pt.Err == nil || !strings.Contains(pt.Err.Error(), want) {
+				t.Errorf("%v: s=%d error %v, want %q", sizes, sizes[i], pt.Err, want)
+			}
+		}
+	}
+}
+
+// TestScheduleDoesNotChangeCurve: the dispatch order and the
+// work-stealing schedule decide only who evaluates which point, so at
+// every worker count and seed the curve equals fresh serial
+// emulations, point by point and in input order.
+func TestScheduleDoesNotChangeCurve(t *testing.T) {
+	m, err := psdf.Repeat(apps.MP3Model(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := apps.MP3Platform3(36)
+	sizes := []int{1, 2, 3, 4, 6, 8, 12, 16}
+	want := make([]int64, len(sizes))
+	for i, s := range sizes {
+		p := base.Clone()
+		p.PackageSize = s
+		r, err := emulator.Run(m, p, emulator.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = int64(r.ExecutionTimePs)
+	}
+	for _, workers := range []int{1, 2, 3, 8} {
+		for _, seed := range []int64{1, 7919} {
+			c := PackageSizes(m, base, sizes, Options{Workers: workers, Seed: seed})
+			for i, pt := range c.Points {
+				if pt.Err != nil || pt.Value != int64(sizes[i]) || pt.ExecPs != want[i] {
+					t.Errorf("workers=%d seed=%d point %d: %d=%d ps (%v), want %d=%d ps",
+						workers, seed, i, pt.Value, pt.ExecPs, pt.Err, sizes[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestDispatchOrder pins the pricing and the layout StealRun consumes:
+// with one worker the tail pops run the variants costliest first,
+// equal prices in input order, and with w workers the w costliest
+// variants head the w deques.
+func TestDispatchOrder(t *testing.T) {
+	flows := apps.MP3Model().Flows()
+	if got := packageCount(flows, 0) + packageCount(flows, -3); got != 0 {
+		t.Errorf("non-positive sizes priced at %d, want 0", got)
+	}
+	if a, b := packageCount(flows, 1), packageCount(flows, 2); a <= b {
+		t.Errorf("s=1 priced %d, not above s=2 at %d", a, b)
+	}
+	// dispatched returns the variants in the order a single worker's
+	// tail pops run them.
+	dispatched := func(order []int) []int {
+		out := make([]int, len(order))
+		for j, v := range order {
+			out[len(order)-1-j] = v
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		prices []int64
+		want   []int
+	}{
+		{[]int64{10, 40, 20, 30}, []int{1, 3, 2, 0}},
+		{[]int64{5, 5, 5, 5}, []int{0, 1, 2, 3}}, // header, CA-hop and clock sweeps
+		{[]int64{1, 9, 1, 9, 0}, []int{1, 3, 0, 2, 4}},
+		{nil, []int{}},
+	} {
+		if got := dispatched(dispatchOrder(tc.prices)); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("prices %v dispatched %v, want %v", tc.prices, got, tc.want)
+		}
+	}
+	// Round-robin deal of 8 indices over 3 workers: worker k's deque is
+	// k, k+3, …, and its first pop is its last index.
+	prices := []int64{80, 10, 70, 20, 60, 30, 50, 40}
+	order := dispatchOrder(prices)
+	first := map[int64]bool{}
+	for k := 0; k < 3; k++ {
+		last := k
+		for last+3 < len(order) {
+			last += 3
+		}
+		first[prices[order[last]]] = true
+	}
+	if !first[80] || !first[70] || !first[60] {
+		t.Errorf("first pops priced %v, want the three costliest", first)
 	}
 }
 

@@ -28,17 +28,17 @@ go test -shuffle=on -count=1 ./...
 # Differential fuzz smoke for scheme ingest: the single-pass scanner
 # must read every document it accepts exactly as encoding/xml does,
 # and ParsePSDF/ParsePSM must match the decoder-only path.
-go test -run '^$' -fuzz '^FuzzParsePSDF$' -fuzztime 15s ./internal/schema
-go test -run '^$' -fuzz '^FuzzParsePSM$' -fuzztime 15s ./internal/schema
+go test -run '^$' -fuzz '^FuzzParsePSDF$' -fuzztime 15s -fuzzminimizetime 5x ./internal/schema
+go test -run '^$' -fuzz '^FuzzParsePSM$' -fuzztime 15s -fuzzminimizetime 5x ./internal/schema
 
 # Differential fuzz smoke for the cache key: two parsed scheme pairs
 # must share a core.Key exactly when their m2t renderings are equal.
-go test -run '^$' -fuzz '^FuzzKeyMatchesRendering$' -fuzztime 15s ./internal/core
+go test -run '^$' -fuzz '^FuzzKeyMatchesRendering$' -fuzztime 15s -fuzzminimizetime 5x ./internal/core
 
 # Differential fuzz smoke for request decoding: the single-pass
 # /estimate reader must decode every body to the same request, and
 # fail with the same error, as encoding/json.
-go test -run '^$' -fuzz '^FuzzDecodeEstimate$' -fuzztime 15s ./internal/serve
+go test -run '^$' -fuzz '^FuzzDecodeEstimate$' -fuzztime 15s -fuzzminimizetime 5x ./internal/serve
 
 # Bench smoke: every benchmark must still run (one iteration each) —
 # catches bit-rot in the bench harnesses without paying for stable
