@@ -8,12 +8,10 @@
 //	segbus-bench -exp E3       # run one experiment
 //	segbus-bench -list         # list experiment ids
 //	segbus-bench -markdown     # render results as the EXPERIMENTS.md table
+//	segbus-bench -out DIR      # write per-experiment reports and figures
 //
-// It also records the repository's performance trajectory:
-//
-//	segbus-bench -bench-json BENCH_5.json      # measure and write a record
-//	segbus-bench -bench-json out.json -bench-quick   # CI smoke (fixed small N)
-//	segbus-bench -bench-validate BENCH_5.json  # schema-check a committed record
+// Performance is measured elsewhere: `go test -bench` for the package
+// microbenchmarks, and the segbench module for end-to-end workloads.
 package main
 
 import (
@@ -23,7 +21,6 @@ import (
 	"os"
 	"strings"
 
-	"segbus/internal/benchrec"
 	"segbus/internal/obs/profflag"
 	"segbus/internal/paper"
 )
@@ -41,9 +38,6 @@ func run(args []string, stdout io.Writer) error {
 	list := fs.Bool("list", false, "list experiments and exit")
 	markdown := fs.Bool("markdown", false, "render results as Markdown (EXPERIMENTS.md body)")
 	outDir := fs.String("out", "", "write per-experiment reports and the regenerated figures (SVG/CSV) to this directory")
-	benchJSON := fs.String("bench-json", "", "run the kernel/emulator/serve benchmark battery and write the trajectory record to this file")
-	benchQuick := fs.Bool("bench-quick", false, "with -bench-json: fixed small iteration counts (CI smoke) instead of calibrated timing")
-	benchValidate := fs.String("bench-validate", "", "schema-check an existing trajectory record and exit")
 	pf := profflag.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -55,40 +49,6 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	defer pf.Stop(os.Stderr)
-
-	if *benchValidate != "" {
-		data, err := os.ReadFile(*benchValidate)
-		if err != nil {
-			return err
-		}
-		if err := benchrec.Validate(data); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "%s: valid trajectory record (%d benchmarks)\n",
-			*benchValidate, len(benchrec.RequiredNames()))
-		return nil
-	}
-	if *benchJSON != "" {
-		rec, err := benchrec.Run(*benchQuick)
-		if err != nil {
-			return err
-		}
-		data, err := rec.Marshal()
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*benchJSON, data, 0o644); err != nil {
-			return err
-		}
-		for _, res := range rec.Results {
-			fmt.Fprintf(stdout, "%-26s %12.1f ns/op %10.1f allocs/op\n",
-				res.Name, res.NsPerOp, res.AllocsPerOp)
-		}
-		fmt.Fprintf(stdout, "sim ps/wall s: %.3g   events/wall s: %.3g\n",
-			rec.SimPsPerWallSecond, rec.EventsPerWallSecond)
-		fmt.Fprintln(stdout, "wrote", *benchJSON)
-		return nil
-	}
 
 	if *list {
 		for _, e := range paper.All() {

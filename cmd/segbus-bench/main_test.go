@@ -62,40 +62,6 @@ func TestRunAllExperiments(t *testing.T) {
 	}
 }
 
-// TestRunBenchJSONQuick drives the trajectory recorder end to end:
-// quick measurement, JSON on disk, and the validator accepting it.
-func TestRunBenchJSONQuick(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
-	var out strings.Builder
-	if err := run([]string{"-bench-json", path, "-bench-quick"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "kernel/event_throughput") {
-		t.Errorf("battery summary missing:\n%s", out.String())
-	}
-	out.Reset()
-	if err := run([]string{"-bench-validate", path}, &out); err != nil {
-		t.Fatalf("freshly written record rejected: %v", err)
-	}
-	if !strings.Contains(out.String(), "valid trajectory record") {
-		t.Errorf("validate output:\n%s", out.String())
-	}
-}
-
-func TestRunBenchValidateRejects(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(path, []byte(`{"schema":"other"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out strings.Builder
-	if err := run([]string{"-bench-validate", path}, &out); err == nil {
-		t.Error("invalid record accepted")
-	}
-	if err := run([]string{"-bench-validate", filepath.Join(t.TempDir(), "absent.json")}, &out); err == nil {
-		t.Error("missing file accepted")
-	}
-}
-
 func TestRunArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	var out strings.Builder

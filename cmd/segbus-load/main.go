@@ -45,7 +45,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"segbus/internal/benchrec"
 	"segbus/internal/conform"
 	"segbus/internal/dsl"
 	"segbus/internal/obs/profflag"
@@ -136,9 +135,8 @@ type Report struct {
 	// MarkerLatency splits single-request latency by the server's
 	// X-Segbus-Cache marker (hit / miss / coalesced). Batch requests
 	// mix markers within one round trip, so they are excluded.
-	MarkerLatency    map[string]Latency `json:"marker_latency,omitempty"`
-	HitP50BaselineUs int64              `json:"hit_p50_baseline_us,omitempty"` // -hit-p50-baseline ceiling
-	Slowest          []SlowRequest      `json:"slowest,omitempty"`             // -slowest N server-side breakdowns
+	MarkerLatency map[string]Latency `json:"marker_latency,omitempty"`
+	Slowest       []SlowRequest      `json:"slowest,omitempty"` // -slowest N server-side breakdowns
 }
 
 func run(args []string, stdout io.Writer) error {
@@ -159,7 +157,6 @@ func run(args []string, stdout io.Writer) error {
 	timeout := fs.Duration("timeout", 30*time.Second, "client request timeout")
 	diff := fs.Bool("diff", false, "compare every served report byte-for-byte against the CLI pipeline")
 	slowest := fs.Int("slowest", 0, "after the run, print the server-side stage breakdown of the N slowest requests (forces tracing via seeded traceparent headers)")
-	hitBaseline := fs.String("hit-p50-baseline", "", "benchrec BENCH_<n>.json: fail unless the warm-hit p50 beats its serve/cache_hit ns_per_op")
 	prove := fs.Bool("prove-coalescing", false, "after the run, prove a concurrent identical burst coalesces to one emulation")
 	jsonOut := fs.Bool("json", false, "print the report as JSON instead of text")
 	pf := profflag.Register(fs)
@@ -185,16 +182,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *hitRatio < 0 || *hitRatio > 1 {
 		return fmt.Errorf("-hit-ratio must be in [0,1]")
-	}
-	var baselineUs int64
-	if *hitBaseline != "" {
-		var err error
-		if baselineUs, err = readHitBaseline(*hitBaseline); err != nil {
-			return fmt.Errorf("-hit-p50-baseline: %w", err)
-		}
-		if *batch != 1 {
-			return fmt.Errorf("-hit-p50-baseline needs single-request traffic (-batch 1): batch markers are per item, not per round trip")
-		}
 	}
 
 	// The corpus: -models traffic cases plus one reserved for the
@@ -505,8 +492,6 @@ func run(args []string, stdout io.Writer) error {
 		rep.Proven = proven
 	}
 
-	rep.HitP50BaselineUs = baselineUs
-
 	// The slowest-request breakdowns come from the server's own flight
 	// recorder, not from client-side timing: the client can only see
 	// total latency, the server knows which stage ate it.
@@ -538,45 +523,7 @@ func run(args []string, stdout io.Writer) error {
 	if inProcess && *hitRatio > 0 && rep.Status["200"] >= 20 && rep.Emulations >= rep.Status["200"] {
 		return fmt.Errorf("no caching benefit: %d emulations for %d served items on a warm corpus", rep.Emulations, rep.Status["200"])
 	}
-	if *hitBaseline != "" {
-		hl, ok := rep.MarkerLatency["hit"]
-		if !ok || hl.Samples < 20 {
-			return fmt.Errorf("hit-p50 gate needs at least 20 hit-marked responses, got %d (raise -requests or -hit-ratio)", hl.Samples)
-		}
-		if hl.P50Us >= baselineUs {
-			return fmt.Errorf("hit p50 %dµs has not improved on the %dµs serve/cache_hit baseline from %s",
-				hl.P50Us, baselineUs, *hitBaseline)
-		}
-	}
 	return nil
-}
-
-// readHitBaseline pulls the serve/cache_hit timing out of a committed
-// benchrec record and converts it to the gate's microsecond ceiling.
-// The record is re-validated first, so a stale or corrupt baseline
-// file fails loudly rather than gating against garbage.
-func readHitBaseline(path string) (int64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0, err
-	}
-	if err := benchrec.Validate(data); err != nil {
-		return 0, err
-	}
-	var rec benchrec.Record
-	if err := json.Unmarshal(data, &rec); err != nil {
-		return 0, err
-	}
-	for _, r := range rec.Results {
-		if r.Name == "serve/cache_hit" {
-			us := int64(r.NsPerOp / 1000)
-			if us < 1 {
-				return 0, fmt.Errorf("%s: serve/cache_hit baseline %vns is below the harness's 1µs resolution", path, r.NsPerOp)
-			}
-			return us, nil
-		}
-	}
-	return 0, fmt.Errorf("%s: no serve/cache_hit benchmark in record", path)
 }
 
 // forcedTraceparent renders a W3C traceparent with the sampled flag
@@ -746,9 +693,6 @@ func printText(w io.Writer, r *Report) {
 		}
 		fmt.Fprintf(w, "    %-9s p50 %s  p90 %s  p99 %s  max %s  (%d samples)\n",
 			marker+":", us(l.P50Us), us(l.P90Us), us(l.P99Us), us(l.MaxUs), l.Samples)
-	}
-	if r.HitP50BaselineUs > 0 {
-		fmt.Fprintf(w, "  hit-p50 gate: baseline %s (serve/cache_hit)\n", us(r.HitP50BaselineUs))
 	}
 	if r.Checked > 0 || r.Mismatches > 0 {
 		fmt.Fprintf(w, "  differential: %d/%d byte-identical to the CLI pipeline\n",

@@ -223,8 +223,6 @@ func TestLoadRunFlagValidation(t *testing.T) {
 		{"-concurrency", "0"},
 		{"-batch", "0"},
 		{"-hit-ratio", "1.5"},
-		{"-hit-p50-baseline", "no-such-file.json"},
-		{"-hit-p50-baseline", filepath.Join("..", "..", "BENCH_8.json"), "-batch", "3"},
 	} {
 		var out bytes.Buffer
 		if err := run(args, &out); err == nil {
@@ -233,31 +231,21 @@ func TestLoadRunFlagValidation(t *testing.T) {
 	}
 }
 
-// TestLoadRunHitBaseline covers the -hit-p50-baseline gate: the
-// baseline is read out of a committed benchrec record, per-marker
-// latency digests are reported, and a run with too few hit samples is
-// rejected rather than silently passing. The latency comparison
-// itself is timing-dependent, so this test accepts either verdict and
-// only fails on mechanical errors; scripts/check.sh enforces the
-// verdict on a quiet machine.
-func TestLoadRunHitBaseline(t *testing.T) {
-	baseline := filepath.Join("..", "..", "BENCH_8.json")
-
+// TestLoadRunMarkerLatency covers the per-marker latency digests: a
+// pure-hit single-request run reports a consistent "hit" digest with
+// one sample per hit-marked response.
+func TestLoadRunMarkerLatency(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{
 		"-seed", "4", "-models", "6", "-requests", "60", "-concurrency", "1",
 		"-hit-ratio", "1.0", "-batch", "1", "-json",
-		"-hit-p50-baseline", baseline,
 	}, &out)
-	if err != nil && !strings.Contains(err.Error(), "has not improved") {
+	if err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
 	}
 	var rep Report
 	if jerr := json.Unmarshal(out.Bytes(), &rep); jerr != nil {
 		t.Fatalf("report is not valid JSON: %v\n%s", jerr, out.String())
-	}
-	if rep.HitP50BaselineUs < 1 {
-		t.Errorf("baseline ceiling %dµs not recorded in report", rep.HitP50BaselineUs)
 	}
 	hl, ok := rep.MarkerLatency["hit"]
 	if !ok {
@@ -268,16 +256,5 @@ func TestLoadRunHitBaseline(t *testing.T) {
 	}
 	if hl.P50Us < 1 || hl.P50Us > hl.MaxUs {
 		t.Errorf("hit latency digest inconsistent: %+v", hl)
-	}
-
-	// Too few single-request hit samples must fail the gate loudly.
-	out.Reset()
-	err = run([]string{
-		"-seed", "4", "-models", "6", "-requests", "5", "-concurrency", "1",
-		"-hit-ratio", "1.0", "-batch", "1",
-		"-hit-p50-baseline", baseline,
-	}, &out)
-	if err == nil || !strings.Contains(err.Error(), "at least 20") {
-		t.Errorf("5-request gate run: err = %v, want a sample-count rejection", err)
 	}
 }

@@ -7,6 +7,8 @@ import (
 
 	"segbus/internal/apps"
 	"segbus/internal/emulator"
+	"segbus/internal/platform"
+	"segbus/internal/psdf"
 )
 
 func TestKeyDeterministic(t *testing.T) {
@@ -74,15 +76,34 @@ func TestKeyIgnoresSideChannels(t *testing.T) {
 	}
 }
 
+// reportJSON renders the report JSON of one estimation, on mc when it
+// is non-nil and on a fresh machine otherwise — what the service
+// caches and serves for the pair.
+func reportJSON(mc *emulator.Machine, m *psdf.Model, plat *platform.Platform, opts Options) ([]byte, error) {
+	var est *Estimation
+	var err error
+	if mc != nil {
+		est, err = EstimateOn(mc, m, plat, opts)
+	} else {
+		est, err = Estimate(m, plat, opts)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return est.Report.JSON()
+}
+
+// TestRunnerReportJSONDeterministic: two estimations of the same pair
+// under the same options render byte-identical report JSON.
 func TestRunnerReportJSONDeterministic(t *testing.T) {
-	r := NewRunner(Options{Preflight: true})
+	opts := Options{Preflight: true}
 	m := apps.MP3Model()
 	p := apps.MP3Platform3(36)
-	a, err := r.ReportJSON(m, p)
+	a, err := reportJSON(nil, m, p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.ReportJSON(m, p)
+	b, err := reportJSON(nil, m, p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,12 +115,13 @@ func TestRunnerReportJSONDeterministic(t *testing.T) {
 	}
 }
 
+// TestRunnerPreflightRejects: with Preflight set, a broken pair
+// renders no report.
 func TestRunnerPreflightRejects(t *testing.T) {
-	r := NewRunner(Options{Preflight: true})
 	m := apps.MP3Model()
 	p := apps.MP3Platform3(36)
 	p.Segments[0].FUs = nil // empty segment: SB027
-	if _, err := r.ReportJSON(m, p); err == nil {
+	if _, err := reportJSON(nil, m, p, Options{Preflight: true}); err == nil {
 		t.Fatal("preflight accepted an empty segment")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"sync"
 
-	"segbus/internal/emulator"
 	"segbus/internal/m2t"
 	"segbus/internal/platform"
 	"segbus/internal/psdf"
@@ -62,55 +61,4 @@ func Key(m *psdf.Model, plat *platform.Platform, opts Options) (string, error) {
 		keyBufs.Put(bp)
 	}
 	return hex.EncodeToString(sum[:]), nil
-}
-
-// Runner is a reusable estimation front end: one fixed option set
-// applied to many model pairs, as a long-lived service does. The zero
-// value runs the paper's estimation model with no preflight; a Runner
-// is safe for concurrent use when its Options are (the shared Metrics
-// registry and Observer, if any, must tolerate concurrent runs —
-// *obs.Registry does).
-type Runner struct {
-	Opts Options
-}
-
-// NewRunner returns a Runner with the given fixed options.
-func NewRunner(opts Options) *Runner { return &Runner{Opts: opts} }
-
-// Key returns the content address of running m on plat under the
-// runner's options (see Key).
-func (r *Runner) Key(m *psdf.Model, plat *platform.Platform) (string, error) {
-	return Key(m, plat, r.Opts)
-}
-
-// Estimate runs one estimation under the runner's options.
-func (r *Runner) Estimate(m *psdf.Model, plat *platform.Platform) (*Estimation, error) {
-	return Estimate(m, plat, r.Opts)
-}
-
-// EstimateOn runs one estimation under the runner's options on a
-// caller-provided reusable machine (see EstimateOn).
-func (r *Runner) EstimateOn(mc *emulator.Machine, m *psdf.Model, plat *platform.Platform) (*Estimation, error) {
-	return EstimateOn(mc, m, plat, r.Opts)
-}
-
-// ReportJSON runs one estimation and renders the versioned report
-// JSON — the serving payload, byte-identical for equal Keys.
-func (r *Runner) ReportJSON(m *psdf.Model, plat *platform.Platform) ([]byte, error) {
-	est, err := r.Estimate(m, plat)
-	if err != nil {
-		return nil, err
-	}
-	return est.Report.JSON()
-}
-
-// ReportJSONOn is ReportJSON on a caller-provided reusable machine:
-// the serving pool's leader path, producing bytes identical to
-// ReportJSON for the same inputs.
-func (r *Runner) ReportJSONOn(mc *emulator.Machine, m *psdf.Model, plat *platform.Platform) ([]byte, error) {
-	est, err := r.EstimateOn(mc, m, plat)
-	if err != nil {
-		return nil, err
-	}
-	return est.Report.JSON()
 }

@@ -1,7 +1,7 @@
 package core
 
-// The pooling seam: EstimateOn / ReportJSONOn on a reused machine must
-// produce bytes identical to the fresh-machine entry points.
+// The pooling seam: EstimateOn on a reused machine must produce report
+// bytes identical to a fresh-machine Estimate.
 
 import (
 	"bytes"
@@ -28,15 +28,14 @@ func pooledPairs() []struct {
 }
 
 func TestReportJSONOnMatchesFresh(t *testing.T) {
-	r := NewRunner(Options{})
 	mc := emulator.NewMachine()
 	for pass := 0; pass < 2; pass++ {
 		for i, p := range pooledPairs() {
-			fresh, err := r.ReportJSON(p.m, p.plat)
+			fresh, err := reportJSON(nil, p.m, p.plat, Options{})
 			if err != nil {
 				t.Fatalf("pass %d pair %d: fresh: %v", pass, i, err)
 			}
-			pooled, err := r.ReportJSONOn(mc, p.m, p.plat)
+			pooled, err := reportJSON(mc, p.m, p.plat, Options{})
 			if err != nil {
 				t.Fatalf("pass %d pair %d: pooled: %v", pass, i, err)
 			}

@@ -44,3 +44,27 @@ func BenchmarkNextEdge(b *testing.B) {
 	}
 	_ = acc
 }
+
+// BenchmarkCancelHeavy measures cancellation churn: per op, 64 events
+// scheduled, every other one cancelled, and the window run out.
+func BenchmarkCancelHeavy(b *testing.B) {
+	s := NewSim()
+	noop := Handler(func(Time) {})
+	ids := make([]EventID, 0, 64)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		now := s.Now()
+		for j := 0; j < 64; j++ {
+			ids = append(ids, s.At(now+Time(1+j%17), j%3, noop))
+		}
+		for j, id := range ids {
+			if j%2 == 0 {
+				s.Cancel(id)
+			}
+		}
+		ids = ids[:0]
+		if _, err := s.RunUntil(now + 20); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -10,6 +10,8 @@ import (
 	"segbus/internal/apps"
 	"segbus/internal/core"
 	"segbus/internal/obs"
+	"segbus/internal/platform"
+	"segbus/internal/psdf"
 )
 
 func TestCacheBasics(t *testing.T) {
@@ -81,32 +83,39 @@ func TestCacheConcurrent(t *testing.T) {
 	}
 }
 
+// freshReport renders the report JSON of one fresh estimation of the
+// pair under default options: the bytes the service must serve for it.
+func freshReport(tb testing.TB, m *psdf.Model, p *platform.Platform) []byte {
+	tb.Helper()
+	est, err := core.Estimate(m, p, core.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	out, err := est.Report.JSON()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
+}
+
 // TestCacheHitIsByteIdenticalToColdRun is the serving determinism
 // guarantee: a hit returns exactly the bytes a fresh emulation would
 // produce.
 func TestCacheHitIsByteIdenticalToColdRun(t *testing.T) {
-	r := core.NewRunner(core.Options{})
 	m := apps.MP3Model()
 	p := apps.MP3Platform3(36)
-	key, err := r.Key(m, p)
+	key, err := core.Key(m, p, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := r.ReportJSON(m, p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold := freshReport(t, m, p)
 	c := NewCache(4)
 	c.Put(key, cold)
 	hit, ok := c.Get(key)
 	if !ok {
 		t.Fatal("miss after put")
 	}
-	again, err := r.ReportJSON(m, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(hit, again) {
+	if !bytes.Equal(hit, freshReport(t, m, p)) {
 		t.Error("cache hit differs from a fresh cold run")
 	}
 }
@@ -116,40 +125,32 @@ func TestCacheHitIsByteIdenticalToColdRun(t *testing.T) {
 // rendering. Compare with BenchmarkCacheHit (EXPERIMENTS.md records
 // the ratio).
 func BenchmarkColdEstimate(b *testing.B) {
-	r := core.NewRunner(core.Options{})
 	m := apps.MP3Model()
 	p := apps.MP3Platform3(36)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.Key(m, p); err != nil {
+		if _, err := core.Key(m, p, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := r.ReportJSON(m, p); err != nil {
-			b.Fatal(err)
-		}
+		freshReport(b, m, p)
 	}
 }
 
 // BenchmarkCacheHit measures the same request served from the result
 // cache: key derivation plus one LRU lookup.
 func BenchmarkCacheHit(b *testing.B) {
-	r := core.NewRunner(core.Options{})
 	m := apps.MP3Model()
 	p := apps.MP3Platform3(36)
-	key, err := r.Key(m, p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	body, err := r.ReportJSON(m, p)
+	key, err := core.Key(m, p, core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	c := NewCache(4)
-	c.Put(key, body)
+	c.Put(key, freshReport(b, m, p))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k, err := r.Key(m, p)
+		k, err := core.Key(m, p, core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -114,11 +114,7 @@ func TestMachinePoolStress(t *testing.T) {
 			}
 			p2 := plat.Clone()
 			p2.PackageSize = size
-			want, err := core.NewRunner(core.Options{}).ReportJSON(m, p2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			variants = append(variants, variant{body: b, want: want})
+			variants = append(variants, variant{body: b, want: freshReport(t, m, p2)})
 		}
 	}
 

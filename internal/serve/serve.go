@@ -191,9 +191,9 @@ type Config struct {
 	TraceSlowest int
 
 	// OnEmulate, when non-nil, is called once per emulation actually
-	// executed — after pool admission, immediately before the runner.
+	// executed — after pool admission, immediately before the run.
 	// The coalescing tests and the segbus-load harness use it to
-	// count runner invocations exactly.
+	// count emulations exactly.
 	OnEmulate func()
 }
 
@@ -427,14 +427,14 @@ func errOutcome(status int, code, msg string, ds []analyze.Diagnostic) outcome {
 	return outcome{status: status, code: code, msg: msg, diags: ds}
 }
 
-// parsed is one decoded estimate: the model pair, the configured
-// runner and the content key, ready for the cache → single-flight →
+// parsed is one decoded estimate: the model pair, its estimation
+// options and the content key, ready for the cache → single-flight →
 // pool pipeline.
 type parsed struct {
-	m      *psdf.Model
-	plat   *platform.Platform
-	runner *core.Runner
-	key    string
+	m    *psdf.Model
+	plat *platform.Platform
+	opts core.Options
+	key  string
 }
 
 // parseRequest decodes one estimate request into its parsed form:
@@ -455,7 +455,7 @@ func (s *Server) parseRequest(tr *reqtrace.Trace, parent reqtrace.SpanID, req *E
 	tr.End(sp)
 
 	sp = tr.Child(parent, "fingerprint")
-	key, err := pr.runner.Key(pr.m, pr.plat)
+	key, err := core.Key(pr.m, pr.plat, pr.opts)
 	if err != nil {
 		tr.Attr(sp, "code", CodeInternal)
 		tr.End(sp)
@@ -508,7 +508,7 @@ func (s *Server) decodeRequest(req *EstimateRequest) (*parsed, outcome) {
 			fmt.Sprintf("preflight found %d error(s), %d warning(s)", e, warns),
 			pre.Diagnostics)
 	}
-	return &parsed{m: m, plat: plat, runner: core.NewRunner(opts)}, outcome{}
+	return &parsed{m: m, plat: plat, opts: opts}, outcome{}
 }
 
 // estimate serves one parsed request through the shared pipeline:
@@ -588,12 +588,12 @@ func (s *Server) estimate(ctx context.Context, tr *reqtrace.Trace, parent reqtra
 // gets a "pool_wait" span for the admission wait (reported by the
 // pool's observer hook, so it covers exactly the invisible queue time),
 // a "pool_checkout" span recording whether the machine pool served a
-// warm machine, and an "emulate" span around the runner; the observer
+// warm machine, and an "emulate" span around the run; the observer
 // closure is only built when the request is sampled, so the untraced
 // path calls plain Submit semantics with a nil hook.
 //
 // The emulation runs on a checked-out pool machine through
-// ReportJSONOn — byte-identical to a fresh run, minus the
+// core.EstimateOn — byte-identical to a fresh run, minus the
 // construction cost — and the machine goes back to the pool on every
 // outcome, including failed runs (Reset is total).
 func (s *Server) emulate(ctx context.Context, tr *reqtrace.Trace, parent reqtrace.SpanID, pr *parsed) outcome {
@@ -619,7 +619,10 @@ func (s *Server) emulate(ctx context.Context, tr *reqtrace.Trace, parent reqtrac
 		if s.cfg.OnEmulate != nil {
 			s.cfg.OnEmulate()
 		}
-		body, runErr = pr.runner.ReportJSONOn(mc, pr.m, pr.plat)
+		var est *core.Estimation
+		if est, runErr = core.EstimateOn(mc, pr.m, pr.plat, pr.opts); runErr == nil {
+			body, runErr = est.Report.JSON()
+		}
 		tr.End(sp)
 		s.machines.Put(shape, mc)
 	})

@@ -13,9 +13,9 @@ import (
 )
 
 // TestSingleFlightCoalesces is the deterministic coalescing proof: K
-// concurrent identical requests trigger exactly one core.Runner
-// invocation (counted by the injected OnEmulate hook), and every
-// waiter receives bytes identical to the leader's. The leader is held
+// concurrent identical requests trigger exactly one emulation (counted
+// by the injected OnEmulate hook), and every waiter receives bytes
+// identical to the leader's. The leader is held
 // inside its emulation until every other request has attached to the
 // flight, so the K-1 waiters provably take the coalesced path rather
 // than racing the cache fill.

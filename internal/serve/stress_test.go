@@ -60,11 +60,7 @@ func TestServeStress(t *testing.T) {
 	for _, size := range sizes {
 		p2 := plat.Clone()
 		p2.PackageSize = size
-		out, err := core.NewRunner(core.Options{}).ReportJSON(m, p2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[size] = out
+		want[size] = freshReport(t, m, p2)
 	}
 
 	var ok200, shed429 atomic.Int64

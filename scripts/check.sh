@@ -41,18 +41,10 @@ go test -run '^$' -fuzz '^FuzzKeyMatchesRendering$' -fuzztime 15s -fuzzminimizet
 go test -run '^$' -fuzz '^FuzzDecodeEstimate$' -fuzztime 15s -fuzzminimizetime 5x ./internal/serve
 
 # Bench smoke: every benchmark must still run (one iteration each) —
-# catches bit-rot in the bench harnesses without paying for stable
-# timings.
+# catches bit-rot in the benchmarks, and their error checks (status
+# codes, verdicts, pruning floors) still gate, without paying for
+# stable timings.
 go test -bench=. -benchtime=1x -run '^$' ./...
-
-# Trajectory-recorder smoke: the battery runs end to end in quick mode
-# and its output passes the schema gate; then every committed point of
-# the trajectory — across all record schema versions — must still
-# satisfy the gate.
-scripts/bench.sh -quick
-for rec in BENCH_*.json; do
-	go run ./cmd/segbus-bench -bench-validate "$rec"
-done
 
 # The event kernel is the hottest shared state in the tree; give its
 # suite (dispatch-order replay, alloc regression, pending bookkeeping)
@@ -164,11 +156,13 @@ go test -race -short -count=2 ./internal/explore
 # path concurrently, many times.
 go test -race -count=10 -run 'Explore|Sweep|Curve|Run' ./internal/core ./internal/sweep ./internal/emulator/pool
 
-# Warm-hit latency gate: a single-worker warm-mix run (queueing would
-# measure the client, not the server) must land its hit p50 under the
-# BENCH_8-era serve/cache_hit cost — the regression fence around the
-# raw-index fast path that replaced per-hit key derivation with a
-# byte-level probe.
+# Single-worker warm-mix load smoke: every served report, raw-index
+# hits included, must be byte-identical to the CLI pipeline.
 go run ./cmd/segbus-load -seed 2 -models 8 -requests 200 -concurrency 1 \
-	-hit-ratio 0.8 -batch 1 -corpus testdata/scenarios -diff \
-	-hit-p50-baseline BENCH_8.json -json
+	-hit-ratio 0.8 -batch 1 -corpus testdata/scenarios -diff -json
+
+# Raw-hit fence: a verbatim repeat must stay on the raw-index fast
+# path — a bounded allocation count and under a quarter of a canonical
+# hit's time, measured in-process against itself. Extra fresh-process
+# rounds, since the timing half is a min-of-N comparison.
+go test -count=5 -run '^TestRawHitFence$' ./internal/serve
