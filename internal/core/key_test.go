@@ -139,6 +139,30 @@ func scenarioPairs(tb testing.TB) []keyPair {
 	return out
 }
 
+// keyCorpus returns the key oracle's corpus: 200 parsed servable pairs
+// and the goldens, each verbatim and re-encoded as serve_warm
+// re-encodes it (the two must share a key), then the scenario models,
+// deadlocking ones included, and the in-memory reference pairs. served
+// is the number of verbatim served pairs.
+func keyCorpus(tb testing.TB) (pairs []keyPair, served int) {
+	tb.Helper()
+	names, docs := servedSchemes(tb, 200)
+	for i, d := range docs {
+		verbatim := parsePair(tb, names[i], d[0], d[1])
+		reencoded := parsePair(tb, names[i]+" re-encoded", reencode(d[0], i), reencode(d[1], i))
+		if mustKey(tb, verbatim, core.Options{}) != mustKey(tb, reencoded, core.Options{}) {
+			tb.Errorf("%s: re-encoding changed the key", names[i])
+		}
+		pairs = append(pairs, verbatim, reencoded)
+	}
+	pairs = append(pairs, scenarioPairs(tb)...)
+	pairs = append(pairs,
+		keyPair{"mp3 in memory", apps.MP3Model(), apps.MP3Platform3(36)},
+		keyPair{"mp3 2seg", apps.MP3Model(), apps.MP3Platform2(36)},
+		keyPair{"jpeg", apps.JPEGModel(), apps.JPEGPlatform3(64)})
+	return pairs, len(docs)
+}
+
 // TestKeyMatchesRendering is the differential oracle: across 200
 // parsed servable pairs, their re-encodings, the scenario models, the
 // in-memory reference pairs and the goldens, two pairs share a key
@@ -147,22 +171,7 @@ func scenarioPairs(tb testing.TB) []keyPair {
 // re-encoded as serve_warm re-encodes it (a comment and tab
 // indentation) must keep its verbatim pair's key.
 func TestKeyMatchesRendering(t *testing.T) {
-	names, docs := servedSchemes(t, 200)
-	var pairs []keyPair
-	for i, d := range docs {
-		verbatim := parsePair(t, names[i], d[0], d[1])
-		reencoded := parsePair(t, names[i]+" re-encoded", reencode(d[0], i), reencode(d[1], i))
-		if mustKey(t, verbatim, core.Options{}) != mustKey(t, reencoded, core.Options{}) {
-			t.Errorf("%s: re-encoding changed the key", names[i])
-		}
-		pairs = append(pairs, verbatim, reencoded)
-	}
-	pairs = append(pairs, scenarioPairs(t)...)
-	pairs = append(pairs,
-		keyPair{"mp3 in memory", apps.MP3Model(), apps.MP3Platform3(36)},
-		keyPair{"mp3 2seg", apps.MP3Model(), apps.MP3Platform2(36)},
-		keyPair{"jpeg", apps.JPEGModel(), apps.JPEGPlatform3(64)})
-
+	pairs, served := keyCorpus(t)
 	byKey := make(map[string]rendering)
 	byRendering := make(map[rendering]string)
 	shared := 0
@@ -180,7 +189,7 @@ func TestKeyMatchesRendering(t *testing.T) {
 		}
 		byKey[k], byRendering[r] = r, k
 	}
-	if shared < len(docs) {
+	if shared < served {
 		t.Errorf("only %d pairs render like an earlier one; the corpus does not exercise equal renderings", shared)
 	}
 	if len(byKey) != len(byRendering) {
@@ -200,6 +209,102 @@ func TestKeyMatchesRendering(t *testing.T) {
 			t.Errorf("%s: Key error %v, want the renderer's %v", p.name, err, wantErr)
 		}
 	}
+}
+
+// crossedRejects returns preflight-rejected pairs built from the
+// first n generated conformance cases of seed 1: each case's PSDF
+// crossed with the previous case's PSM, kept when both parse and
+// preflight rejects the pair, verbatim and re-encoded. Generated cases
+// themselves always pass preflight; a crossed pair mostly maps
+// processes the platform does not host.
+func crossedRejects(tb testing.TB, n int) []keyPair {
+	tb.Helper()
+	g := conform.NewGenerator(1, nil)
+	var out []keyPair
+	var prevPSM []byte
+	for i := 0; i < n; i++ {
+		psdfXML, psmXML, err := g.Next().Schemes()
+		if err != nil {
+			continue
+		}
+		crossPSM := prevPSM
+		prevPSM = psmXML
+		if crossPSM == nil {
+			continue
+		}
+		m, err := schema.ParsePSDF(psdfXML)
+		if err != nil {
+			continue
+		}
+		plat, err := schema.ParsePSM(crossPSM)
+		if err != nil || !core.Preflight(m, plat).HasErrors() {
+			continue
+		}
+		name := fmt.Sprintf("crossed %d", i)
+		out = append(out, keyPair{name, m, plat},
+			parsePair(tb, name+" re-encoded", reencode(psdfXML, i), reencode(crossPSM, i)))
+	}
+	if len(out) == 0 {
+		tb.Fatalf("no crossed pair of %d generated cases is rejected by preflight", n)
+	}
+	return out
+}
+
+// TestEqualKeysEqualPreflightVerdicts holds the service's gate order
+// to its soundness condition. The server runs core.Preflight only
+// after a result-cache miss, so two pairs that share a key must get
+// the same verdict, or a pair preflight rejects could be answered with
+// another pair's cached report. Over the key oracle's corpus, the
+// deadlock scenarios included, pairs are grouped by key and every
+// group must agree. Every pair whose rendering parses (every parsed
+// pair's does; an in-memory pair's may not) must also get the verdict
+// of that re-parsed rendering, which is the same pair for every pair
+// of its key. Crossed generated pairs supply rejected parsed pairs.
+func TestEqualKeysEqualPreflightVerdicts(t *testing.T) {
+	pairs, served := keyCorpus(t)
+	// The corpus starts with its parsed pairs, which must all
+	// round-trip; the crossed rejects join them at the front.
+	crossed := crossedRejects(t, 200)
+	served += len(crossed) / 2
+	pairs = append(crossed, pairs...)
+	verdicts := make(map[string]bool)
+	var rejected, roundTrips, rejectedRoundTrips int
+	for i, p := range pairs {
+		bad := core.Preflight(p.m, p.plat).HasErrors()
+		if bad {
+			rejected++
+		}
+		k := mustKey(t, p, core.Options{})
+		if prev, ok := verdicts[k]; ok && prev != bad {
+			t.Errorf("%s: preflight rejects: %v, but an earlier pair of key %s: %v", p.name, bad, k, prev)
+		}
+		verdicts[k] = bad
+
+		r := render(t, p)
+		m, err := schema.ParsePSDF([]byte(r.psdf))
+		var plat *platform.Platform
+		if err == nil {
+			plat, err = schema.ParsePSM([]byte(r.psm))
+		}
+		if err != nil {
+			if i < 2*served {
+				t.Errorf("%s: rendering does not parse: %v", p.name, err)
+			}
+			continue
+		}
+		roundTrips++
+		if bad {
+			rejectedRoundTrips++
+		}
+		if back := core.Preflight(m, plat).HasErrors(); back != bad {
+			t.Errorf("%s: preflight rejects: %v, its re-parsed rendering: %v", p.name, bad, back)
+		}
+	}
+	if rejected == 0 || rejected == len(pairs) || rejectedRoundTrips == 0 {
+		t.Errorf("preflight rejects %d of %d pairs, %d of %d round-tripped; the corpus must exercise both verdicts",
+			rejected, len(pairs), rejectedRoundTrips, roundTrips)
+	}
+	t.Logf("%d pairs, %d rejected; %d round-tripped, %d rejected", len(pairs), rejected, roundTrips, rejectedRoundTrips)
 }
 
 // rebuild returns a copy of m named name with the given nominal
@@ -484,7 +589,10 @@ func BenchmarkKey(b *testing.B) {
 // they share a key exactly when their schemes render equally, and a
 // pair the renderer refuses, Key refuses with the same error. Parsed
 // clocks are whole hertz, so the exact-clock encoding and the rounded
-// rendering agree on every input.
+// rendering agree on every input. Pairs that share a key must also
+// share preflight's verdict, and each pair must get the verdict of its
+// re-parsed rendering (see TestEqualKeysEqualPreflightVerdicts); the
+// deadlock scenarios and crossed generated pairs seed rejected ones.
 func FuzzKeyMatchesRendering(f *testing.F) {
 	_, docs := servedSchemes(f, 4)
 	golden := docs[len(docs)-1]
@@ -493,10 +601,18 @@ func FuzzKeyMatchesRendering(f *testing.F) {
 		f.Add(golden[0], golden[1], docs[i][0], docs[i][1])
 		f.Add(docs[i][0], docs[i][1], reencode(docs[i][0], i), reencode(docs[i][1], i))
 	}
+	for i, p := range append(scenarioPairs(f), crossedRejects(f, 16)...) {
+		if !core.Preflight(p.m, p.plat).HasErrors() {
+			continue
+		}
+		r := render(f, p)
+		f.Add([]byte(r.psdf), []byte(r.psm), reencode([]byte(r.psdf), i), reencode([]byte(r.psm), i))
+	}
 	f.Fuzz(func(t *testing.T, psdfA, psmA, psdfB, psmB []byte) {
 		var (
-			rs   [2]rendering
-			keys [2]string
+			rs       [2]rendering
+			keys     [2]string
+			verdicts [2]bool
 		)
 		for i, d := range [2][2][]byte{{psdfA, psmA}, {psdfB, psmB}} {
 			m, err := schema.ParsePSDF(d[0])
@@ -516,9 +632,24 @@ func FuzzKeyMatchesRendering(f *testing.F) {
 				return
 			}
 			rs[i], keys[i] = rendering{string(psdfXML), string(psmXML)}, key
+			verdicts[i] = core.Preflight(m, plat).HasErrors()
+			backM, err := schema.ParsePSDF(psdfXML)
+			if err != nil {
+				t.Fatalf("pair %d: rendering does not parse: %v", i, err)
+			}
+			backPlat, err := schema.ParsePSM(psmXML)
+			if err != nil {
+				t.Fatalf("pair %d: rendering does not parse: %v", i, err)
+			}
+			if back := core.Preflight(backM, backPlat).HasErrors(); back != verdicts[i] {
+				t.Fatalf("pair %d: preflight rejects: %v, its re-parsed rendering: %v", i, verdicts[i], back)
+			}
 		}
 		if (rs[0] == rs[1]) != (keys[0] == keys[1]) {
 			t.Fatalf("renderings equal: %v, keys equal: %v", rs[0] == rs[1], keys[0] == keys[1])
+		}
+		if keys[0] == keys[1] && verdicts[0] != verdicts[1] {
+			t.Fatalf("equal keys, preflight rejects: %v and %v", verdicts[0], verdicts[1])
 		}
 	})
 }

@@ -1,6 +1,9 @@
 package obs
 
-import "net/http"
+import (
+	"net/http"
+	"sync"
+)
 
 // Server metric catalogue: the families a long-lived segbus service
 // records, mirroring the emulator catalogue in internal/emulator.
@@ -84,6 +87,12 @@ var ServedLatencyBoundsUs = []int64{
 type ServerMetrics struct {
 	reg *Registry
 
+	// requests caches the per-(endpoint, status) request handles, so
+	// only a first-seen label pair renders labels and takes the
+	// registry's lock.
+	requestsMu sync.RWMutex
+	requests   map[requestLabels]requestHandles
+
 	InFlight       *Gauge
 	Draining       *Gauge
 	CacheHits      *Counter
@@ -139,16 +148,51 @@ func NewServerMetrics(reg *Registry) *ServerMetrics {
 	return m
 }
 
+// requestLabels is the dynamic label pair of a finished request.
+type requestLabels struct{ endpoint, status string }
+
+// requestHandles are the instruments one finished request updates.
+type requestHandles struct {
+	count   *Counter
+	latency *Histogram
+}
+
+// requestHandles returns the request counter and latency histogram
+// for the label pair, resolving them through the registry only the
+// first time the pair is seen.
+func (m *ServerMetrics) requestHandles(endpoint, status string) requestHandles {
+	k := requestLabels{endpoint, status}
+	m.requestsMu.RLock()
+	h, ok := m.requests[k]
+	m.requestsMu.RUnlock()
+	if ok {
+		return h
+	}
+	h = requestHandles{
+		count:   m.reg.Counter(MetricServedRequests, "endpoint", endpoint, "code", status),
+		latency: m.reg.Histogram(MetricServedLatency, ServedLatencyBoundsUs, "endpoint", endpoint),
+	}
+	m.requestsMu.Lock()
+	if m.requests == nil {
+		m.requests = make(map[requestLabels]requestHandles)
+	}
+	m.requests[k] = h
+	m.requestsMu.Unlock()
+	return h
+}
+
 // Request records one finished request: the per-endpoint/status
-// counter and the per-endpoint latency histogram. The dynamic label
-// pair is resolved through the registry (which caches instruments by
-// identity), so arbitrary endpoint/status combinations stay cheap.
+// counter and the per-endpoint latency histogram. The handles of each
+// label pair are resolved once and cached, so arbitrary
+// endpoint/status combinations stay cheap and a repeated one costs no
+// allocation and no registry lock.
 func (m *ServerMetrics) Request(endpoint, status string, latencyUs int64) {
 	if m == nil || m.reg == nil {
 		return
 	}
-	m.reg.Counter(MetricServedRequests, "endpoint", endpoint, "code", status).Inc()
-	m.reg.Histogram(MetricServedLatency, ServedLatencyBoundsUs, "endpoint", endpoint).Observe(latencyUs)
+	h := m.requestHandles(endpoint, status)
+	h.count.Inc()
+	h.latency.Observe(latencyUs)
 }
 
 // RequestTraced is Request for a sampled request: the latency
@@ -159,8 +203,9 @@ func (m *ServerMetrics) RequestTraced(endpoint, status string, latencyUs int64, 
 	if m == nil || m.reg == nil {
 		return
 	}
-	m.reg.Counter(MetricServedRequests, "endpoint", endpoint, "code", status).Inc()
-	m.reg.Histogram(MetricServedLatency, ServedLatencyBoundsUs, "endpoint", endpoint).ObserveExemplar(latencyUs, traceID)
+	h := m.requestHandles(endpoint, status)
+	h.count.Inc()
+	h.latency.ObserveExemplar(latencyUs, traceID)
 }
 
 // Handler serves the registry in Prometheus text exposition — the

@@ -99,3 +99,49 @@ func TestHandlerNilRegistry(t *testing.T) {
 		t.Errorf("nil registry: status %d body %q", rec.Code, rec.Body.String())
 	}
 }
+
+// TestRequestExpositionMatchesRegistry pins the cached request handles
+// to the instruments the registry resolves by name: the same traffic
+// recorded through ServerMetrics and through direct registry lookups
+// exposes the same text.
+func TestRequestExpositionMatchesRegistry(t *testing.T) {
+	cached, direct := NewRegistry(), NewRegistry()
+	m := NewServerMetrics(cached)
+	NewServerMetrics(direct)
+	traffic := []struct {
+		endpoint, status string
+		us               int64
+		traceID          string
+	}{
+		{"/estimate", "200", 90, ""},
+		{"/estimate", "200", 250, "deadbeef"},
+		{"/estimate", "400", 40, ""},
+		{"/estimate/batch", "200", 1_200, "cafef00d"},
+		{"/healthz", "200", 3, ""},
+		{"/estimate", "200", 70, ""},
+		{"/estimate", "429", 5, "0badc0de"},
+		{"/metrics", "200", 12, ""},
+	}
+	for _, r := range traffic {
+		count := direct.Counter(MetricServedRequests, "endpoint", r.endpoint, "code", r.status)
+		latency := direct.Histogram(MetricServedLatency, ServedLatencyBoundsUs, "endpoint", r.endpoint)
+		count.Inc()
+		if r.traceID == "" {
+			m.Request(r.endpoint, r.status, r.us)
+			latency.Observe(r.us)
+		} else {
+			m.RequestTraced(r.endpoint, r.status, r.us, r.traceID)
+			latency.ObserveExemplar(r.us, r.traceID)
+		}
+	}
+	var got, want strings.Builder
+	if err := cached.WritePrometheus(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := direct.WritePrometheus(&want); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Errorf("exposition differs from direct registry lookups\n-- got --\n%s-- want --\n%s", got.String(), want.String())
+	}
+}

@@ -44,8 +44,9 @@ type BatchResponse struct {
 
 // handleBatch is the batch endpoint: decode the envelope, parse every
 // item on the request goroutine, deduplicate by content key, fan the
-// unique keys out through the shared pipeline (cache → single-flight
-// → pool) and reassemble per-item results in input order.
+// unique keys out through the shared pipeline (cache → preflight →
+// single-flight → pool) and reassemble per-item results in input
+// order.
 //
 // Admission is per unique item: when the pool saturates mid-batch,
 // the rejected items come back as per-item 429s while their admitted
@@ -82,17 +83,19 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.BatchItems.Add(int64(len(req.Items)))
 
-	// Parse and gate every item inline (cheap, and rejects must not
-	// cost worker slots), grouping the survivors by content key so a
-	// batch full of duplicates costs one emulation.
+	// Parse every item inline, grouping the parsed ones by content key
+	// so a batch full of duplicates costs one preflight and one
+	// emulation. Equal keys get equal preflight verdicts, so a group
+	// is rejected or served as a whole.
 	//
 	// Tracing: every item opens its own "item" span carrying its index.
-	// A rejected item's span terminates at parse time with the SB9xx
-	// code attached; a duplicate's terminates pointing at the group
-	// leader's index (the emulation spans live under the leader's item
-	// span — the batch-level view of single-flight sharing); a leader's
-	// stays open across the fan-out and closes when its estimate
-	// resolves.
+	// An item that fails to parse terminates its span at parse time
+	// with the SB9xx code attached; a duplicate's terminates pointing
+	// at the group leader's index (the preflight and emulation spans
+	// live under the leader's item span — the batch-level view of
+	// single-flight sharing); a leader's stays open across the fan-out
+	// and closes when its estimate resolves, with the code attached
+	// when preflight rejected the group.
 	outs := make([]outcome, len(req.Items))
 	type group struct {
 		pr   *parsed
@@ -131,21 +134,29 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
 	var wg sync.WaitGroup
-	dedup := 0
 	for _, key := range order {
-		g := groups[key]
-		dedup += len(g.idxs) - 1
 		wg.Add(1)
 		go func(g *group) {
 			defer wg.Done()
 			out := s.estimate(ctx, tr, g.span, g.pr)
+			if out.code == CodeBadModel {
+				tr.Attr(g.span, "code", out.code)
+			}
 			tr.End(g.span)
 			for _, i := range g.idxs {
 				outs[i] = out
 			}
-		}(g)
+		}(groups[key])
 	}
 	wg.Wait()
+	// A preflight-rejected item counts as failed, never as
+	// deduplicated, however many copies of it the batch carries.
+	dedup := 0
+	for _, g := range groups {
+		if outs[g.idxs[0]].code != CodeBadModel {
+			dedup += len(g.idxs) - 1
+		}
+	}
 
 	sp = tr.Span("serialize")
 	body, err := marshalBatchResponse(outs, dedup)

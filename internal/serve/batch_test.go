@@ -392,3 +392,68 @@ func TestBatchSharesFlightWithSingle(t *testing.T) {
 		t.Error("coalesced batch item differs from the single response body")
 	}
 }
+
+// TestBatchRejectedDuplicates pins a batch that repeats a rejected
+// item among valid duplicates to the bytes built from its parts: each
+// rejected item carries preflight's 400 SB902, the valid ones the
+// fresh report, and only the valid duplicate counts as deduplicated —
+// a rejected item is failed however many copies of it the batch
+// carries, byte-identical copies and re-encoded ones alike. It runs on
+// a cold server and again once the valid pairs are cached.
+func TestBatchRejectedDuplicates(t *testing.T) {
+	psdfXML, psmXML := goldenSchemes(t)
+	rejected, _ := rejectedRequests(t, 40)
+	r1, r2 := rejected[0], rejected[len(rejected)-1]
+	r1Reencoded := EstimateRequest{PSDF: r1.PSDF + "\n", PSM: r1.PSM}
+	a := EstimateRequest{PSDF: psdfXML, PSM: psmXML}
+	b := EstimateRequest{PSDF: psdfXML, PSM: psmXML, PackageSize: 9}
+	items := []EstimateRequest{a, r1, a, r1, r2, b, r1Reencoded}
+
+	m, err := schema.ParsePSDF([]byte(psdfXML))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plat, err := schema.ParsePSM([]byte(psmXML))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reportA := freshReport(t, m, plat)
+	plat.PackageSize = 9
+	reportB := freshReport(t, m, plat)
+	want := func(cache string) []byte {
+		outs := make([]outcome, len(items))
+		for i, req := range items {
+			switch req {
+			case a:
+				outs[i] = outcome{status: http.StatusOK, cache: cache, body: reportA}
+			case b:
+				outs[i] = outcome{status: http.StatusOK, cache: cache, body: reportB}
+			default:
+				out, ok := preflightRejection(t, req)
+				if !ok {
+					t.Fatalf("item %d: preflight passes it", i)
+				}
+				outs[i] = out
+			}
+		}
+		body, err := marshalBatchResponse(outs, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+
+	s := New(Config{Workers: 2, Queue: 8, CacheEntries: 16})
+	h := s.Handler()
+	req := batchBody(t, BatchRequest{Items: items})
+	for _, cache := range []string{"miss", "hit"} {
+		rec := postBatch(h, req)
+		if got := rec.Body.Bytes(); rec.Code != http.StatusOK || !bytes.Equal(got, want(cache)) {
+			t.Fatalf("%s batch: status %d, body\n%s\nwant\n%s", cache, rec.Code, got, want(cache))
+		}
+		resp := decodeBatch(t, rec)
+		if resp.Served != 3 || resp.Failed != 4 || resp.Deduplicated != 1 {
+			t.Errorf("%s batch: served=%d failed=%d dedup=%d, want 3/4/1", cache, resp.Served, resp.Failed, resp.Deduplicated)
+		}
+	}
+}

@@ -438,37 +438,49 @@ type parsed struct {
 }
 
 // parseRequest decodes one estimate request into its parsed form:
-// scheme parsing, option resolution, the preflight gate and key
-// derivation, all on the request goroutine — rejecting a broken pair
-// must not cost a worker slot. A non-zero outcome status reports the
-// rejection. The work lands in two spans under parent: "parse"
-// (schemes, options, preflight; a rejection terminates it with the
-// SB9xx code attached) and "fingerprint" (canonical key derivation).
+// scheme parsing, option resolution and key derivation, on the request
+// goroutine. A non-zero outcome status reports the rejection. The work
+// lands in two spans under parent: "parse" (schemes and options; a
+// rejection terminates it with the SB9xx code attached) and
+// "fingerprint" (see fingerprint). The preflight gate runs later, in
+// estimate, and only on a cache miss.
 func (s *Server) parseRequest(tr *reqtrace.Trace, parent reqtrace.SpanID, req *EstimateRequest) (*parsed, outcome) {
 	sp := tr.Child(parent, "parse")
-	pr, out := s.decodeRequest(req)
+	pr, out := decodeRequest(req)
 	if out.status != 0 {
 		tr.Attr(sp, "code", out.code)
 		tr.End(sp)
 		return nil, out
 	}
 	tr.End(sp)
-
-	sp = tr.Child(parent, "fingerprint")
-	key, err := core.Key(pr.m, pr.plat, pr.opts)
-	if err != nil {
-		tr.Attr(sp, "code", CodeInternal)
-		tr.End(sp)
-		return nil, errOutcome(http.StatusInternalServerError, CodeInternal, "canonicalize: "+err.Error(), nil)
+	if out := fingerprint(tr, parent, pr); out.status != 0 {
+		return nil, out
 	}
-	tr.End(sp)
-	pr.key = key
 	return pr, outcome{}
 }
 
-// decodeRequest is parseRequest's untraced core: schemes, options and
-// the preflight gate, everything except key derivation.
-func (s *Server) decodeRequest(req *EstimateRequest) (*parsed, outcome) {
+// fingerprint derives pr.key in a "fingerprint" span. A pair the key
+// refuses never reaches the cache probe, so it is gated here instead:
+// preflight's rejection answers first, and only a pair that passes
+// gets the 500 SB906 (with the code attached to the span).
+func fingerprint(tr *reqtrace.Trace, parent reqtrace.SpanID, pr *parsed) outcome {
+	sp := tr.Child(parent, "fingerprint")
+	key, err := core.Key(pr.m, pr.plat, pr.opts)
+	tr.End(sp)
+	if err != nil {
+		if out := preflight(tr, parent, pr); out.status != 0 {
+			return out
+		}
+		tr.Attr(sp, "code", CodeInternal)
+		return errOutcome(http.StatusInternalServerError, CodeInternal, "canonicalize: "+err.Error(), nil)
+	}
+	pr.key = key
+	return outcome{}
+}
+
+// decodeRequest is parseRequest's untraced core: schemes and options,
+// everything except key derivation.
+func decodeRequest(req *EstimateRequest) (*parsed, outcome) {
 	if req.PSDF == "" || req.PSM == "" {
 		return nil, errOutcome(http.StatusBadRequest, CodeBadRequest, "psdf and psm schemes are required", nil)
 	}
@@ -502,26 +514,48 @@ func (s *Server) decodeRequest(req *EstimateRequest) (*parsed, outcome) {
 		Overheads: opts.Overheads, DetectTicks: opts.DetectTicks, Policy: policy}); err != nil {
 		return nil, errOutcome(http.StatusBadRequest, CodeBadRequest, err.Error(), nil)
 	}
-	if pre := core.Preflight(m, plat); pre.HasErrors() {
-		e, warns, _ := pre.Counts()
-		return nil, errOutcome(http.StatusBadRequest, CodeBadModel,
-			fmt.Sprintf("preflight found %d error(s), %d warning(s)", e, warns),
-			pre.Diagnostics)
-	}
 	return &parsed{m: m, plat: plat, opts: opts}, outcome{}
 }
 
+// preflight is the static gate between a cache miss and the flight
+// join: the structural and liveness analyzers must pass before a pair
+// may take a flight or a worker slot. A rejection answers 400 SB902
+// with the analyzers' diagnostics. The work lands in a "preflight"
+// span under parent; a rejection terminates it with the code attached.
+//
+// Running the gate after the cache probe is sound because the cache
+// only ever holds pairs that passed it (Cache.Put is called only after
+// an emulation, and the raw index only stores 200s), and because two
+// pairs with the same core.Key get the same preflight verdict: the
+// key covers every value the m2t schemes render, and the verdict on a
+// parsed pair equals the verdict on its re-parsed rendering.
+func preflight(tr *reqtrace.Trace, parent reqtrace.SpanID, pr *parsed) outcome {
+	sp := tr.Child(parent, "preflight")
+	defer tr.End(sp)
+	pre := core.Preflight(pr.m, pr.plat)
+	if !pre.HasErrors() {
+		return outcome{}
+	}
+	tr.Attr(sp, "code", CodeBadModel)
+	e, warns, _ := pre.Counts()
+	return errOutcome(http.StatusBadRequest, CodeBadModel,
+		fmt.Sprintf("preflight found %d error(s), %d warning(s)", e, warns),
+		pre.Diagnostics)
+}
+
 // estimate serves one parsed request through the shared pipeline:
-// cache probe → single-flight join → pooled emulation → cache fill.
-// Identical concurrent requests — across /estimate, /estimate/batch
-// and any mix of the two — resolve to one emulation: the first becomes
-// the flight's leader, the rest wait and share its pre-serialized
-// bytes.
+// cache probe → preflight on a miss → single-flight join → pooled
+// emulation → cache fill. A hit skips preflight; a rejected pair
+// never joins a flight or takes a worker slot. Identical concurrent
+// requests — across /estimate, /estimate/batch and any mix of the two
+// — resolve to one emulation: the first becomes the flight's leader,
+// the rest wait and share its pre-serialized bytes.
 //
 // Tracing: "cache_probe" records the probed shard and its result; a
-// flight join opens "flight" with a role attribute — a waiter's span
-// covers the whole wait on the leader, a leader's closes immediately
-// (its real work shows up as pool_wait/emulate spans instead).
+// miss opens "preflight"; a flight join opens "flight" with a role
+// attribute — a waiter's span covers the whole wait on the leader, a
+// leader's closes immediately (its real work shows up as
+// pool_wait/emulate spans instead).
 func (s *Server) estimate(ctx context.Context, tr *reqtrace.Trace, parent reqtrace.SpanID, pr *parsed) outcome {
 	sp := tr.Child(parent, "cache_probe")
 	if tr != nil {
@@ -535,6 +569,9 @@ func (s *Server) estimate(ctx context.Context, tr *reqtrace.Trace, parent reqtra
 	}
 	tr.Attr(sp, "result", "miss")
 	tr.End(sp)
+	if out := preflight(tr, parent, pr); out.status != 0 {
+		return out
+	}
 
 	fl := tr.Child(parent, "flight")
 	f, leader := s.flights.join(pr.key)
@@ -639,10 +676,6 @@ func (s *Server) emulate(ctx context.Context, tr *reqtrace.Trace, parent reqtrac
 		return errOutcome(http.StatusGatewayTimeout, CodeDeadline, "request abandoned before a worker was free: "+err.Error(), nil)
 	}
 	if runErr != nil {
-		var pf *core.PreflightError
-		if errors.As(runErr, &pf) {
-			return errOutcome(http.StatusBadRequest, CodeBadModel, runErr.Error(), pf.Result.Diagnostics)
-		}
 		return errOutcome(http.StatusInternalServerError, CodeInternal, "emulation: "+runErr.Error(), nil)
 	}
 	if evicted := s.cache.Put(pr.key, body); evicted {

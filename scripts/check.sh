@@ -102,8 +102,9 @@ go test -count=1 -run TestTracingOverheadSmoke ./internal/serve
 # exposed to. The single-flight, batch-saturation and machine-pool
 # stress suites ride along for the same reason — the pool hands one
 # arena to many goroutines in sequence, which is exactly the handoff
-# the race detector is for.
-go test -race -count=2 -run 'TestServeStress|TestSingleFlight|TestBatchSaturatedPool|TestMachinePoolStress' ./internal/serve
+# the race detector is for. So does the rejected-duplicates batch
+# test: batch preflight runs inside the fan-out goroutines.
+go test -race -count=2 -run 'TestServeStress|TestSingleFlight|TestBatchSaturatedPool|TestMachinePoolStress|TestBatchRejectedDuplicates' ./internal/serve
 
 # Machine-reuse correctness gates, race-enabled: the conform-driven
 # differential battery (hundreds of generated cases through ONE pooled
@@ -162,7 +163,8 @@ go run ./cmd/segbus-load -seed 2 -models 8 -requests 200 -concurrency 1 \
 	-hit-ratio 0.8 -batch 1 -corpus testdata/scenarios -diff -json
 
 # Raw-hit fence: a verbatim repeat must stay on the raw-index fast
-# path — a bounded allocation count and under a quarter of a canonical
-# hit's time, measured in-process against itself. Extra fresh-process
+# path — a bounded allocation count and under half a canonical hit's
+# time (parse and key; preflight only runs on a miss), measured
+# in-process against itself. Extra fresh-process
 # rounds, since the timing half is a min-of-N comparison.
 go test -count=5 -run '^TestRawHitFence$' ./internal/serve
