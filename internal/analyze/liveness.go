@@ -32,10 +32,12 @@ const (
 // gates enforce: same-stage dependency cycles that deadlock or stall,
 // T-order contradictions, and processes whose results can never reach
 // a FinalNode. It runs on a bare PSDF model; no platform is needed.
-// On valid models it additionally delegates to the exact reachability
-// checker (internal/automata), which decides deadlock-versus-
-// termination by exhaustive product exploration (SB050–SB052) where
-// the structural heuristics can only grade suspicion.
+// On valid models it additionally decides deadlock-versus-termination
+// exactly (SB050–SB052) where the structural heuristics can only grade
+// suspicion: the schedule's closed-form fixpoint (sched.Schedule.Drains)
+// gives the verdict, and only a stalling schedule is compiled into the
+// automata product (internal/automata), which builds the
+// counterexample.
 func init() {
 	Register(&Analyzer{
 		Name: "liveness",
@@ -71,17 +73,9 @@ func checkStageCycles(pass *Pass, m *psdf.Model) {
 		adj[f.Source] = append(adj[f.Source], f.Target)
 	}
 
-	// Input orders per process, to grade cycle severity.
-	inOrders := make(map[psdf.ProcessID]map[int][]psdf.ProcessID)
-	for _, f := range m.Flows() {
-		if f.Target == psdf.SystemOutput {
-			continue
-		}
-		if inOrders[f.Target] == nil {
-			inOrders[f.Target] = make(map[int][]psdf.ProcessID)
-		}
-		inOrders[f.Target][f.Order] = append(inOrders[f.Target][f.Order], f.Source)
-	}
+	// Input orders per process, to grade cycle severity; built on the
+	// first cycle found.
+	var inOrders map[psdf.ProcessID]map[int][]psdf.ProcessID
 
 	orders := make([]int, 0, len(byOrder))
 	for t := range byOrder {
@@ -90,9 +84,24 @@ func checkStageCycles(pass *Pass, m *psdf.Model) {
 	sort.Ints(orders)
 
 	for _, t := range orders {
+		if len(byOrder[t]) < 2 {
+			continue // a cycle needs two sources
+		}
 		for _, cycle := range stronglyConnected(byOrder[t]) {
 			if len(cycle) < 2 {
 				continue
+			}
+			if inOrders == nil {
+				inOrders = make(map[psdf.ProcessID]map[int][]psdf.ProcessID)
+				for _, f := range m.Flows() {
+					if f.Target == psdf.SystemOutput {
+						continue
+					}
+					if inOrders[f.Target] == nil {
+						inOrders[f.Target] = make(map[int][]psdf.ProcessID)
+					}
+					inOrders[f.Target][f.Order] = append(inOrders[f.Target][f.Order], f.Source)
+				}
 			}
 			members := make(map[psdf.ProcessID]bool, len(cycle))
 			for _, p := range cycle {

@@ -30,22 +30,32 @@ const (
 	CodeBudgetExhausted = "SB052"
 )
 
-// checkExactReachability compiles the model and platform into the
-// communicating-automata product (internal/automata) and decides
-// deadlock-versus-termination exactly. It complements the SB101
-// heuristic: cycles the heuristic can only grade as suspicious are
-// either proven to deadlock here (SB050/SB051, with a counterexample)
-// or exonerated by the Terminates verdict. Models the validators
-// reject are skipped silently — the structural analyzer already owns
-// those findings — and a budget-exhausted exploration degrades to an
-// SB052 note, leaving the heuristics in charge.
+// checkExactReachability decides deadlock-versus-termination of the
+// model and platform exactly. It complements the SB101 heuristic:
+// cycles the heuristic can only grade as suspicious are either proven
+// to deadlock here (SB050/SB051, with a counterexample) or exonerated.
+// The verdict comes from the schedule's closed-form fixpoint
+// (sched.Schedule.Drains); only a schedule that stalls is compiled
+// into the communicating-automata product (internal/automata), whose
+// check builds the counterexample. Models the validators reject are
+// skipped silently — the structural analyzer already owns those
+// findings — and a model too large for the product encoding, or an
+// exploration that runs out of its state budget, degrades to an SB052
+// note, leaving the heuristics in charge.
 func checkExactReachability(pass *Pass) {
-	sys, err := automata.Compile(pass.Model, pass.Platform)
+	sch, err := automata.ScheduleOf(pass.Model, pass.Platform)
 	if err != nil {
 		if errors.Is(err, automata.ErrTooLarge) {
 			pass.Reportf(CodeBudgetExhausted, SeverityInfo, "model",
 				"exact reachability analysis skipped: %v", err)
 		}
+		return
+	}
+	if sch.Drains() {
+		return
+	}
+	sys, err := automata.CompileSchedule(pass.Model, pass.Platform, sch)
+	if err != nil {
 		return
 	}
 	res := sys.Check(automata.Options{})

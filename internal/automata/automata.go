@@ -50,6 +50,12 @@
 //     expanded by parallel workers with a deterministic in-order
 //     merge, so the reported trace never depends on scheduling.
 //
+// The same fixpoint can be computed over integer counts alone, without
+// the product (sched.Schedule.Drains); the liveness analyzer reads its
+// verdict there and compiles only a stalling schedule (ScheduleOf,
+// then CompileSchedule), so the product builds the counterexample and
+// serves as the fixpoint's oracle.
+//
 // Segments hosting no emitting process are inert — their bus
 // automaton has a single state — and are pruned from the product
 // before exploration (the symmetry reduction for identical idle

@@ -33,8 +33,22 @@ const (
 // every process then shares one implicit segment and the package
 // size falls back to the model's nominal (or 1 when unset) —
 // deadlock is a property of the firing gates, not of the platform
-// timing, so the verdict is meaningful either way.
+// timing, so the verdict is meaningful either way. Compile is
+// ScheduleOf followed by CompileSchedule.
 func Compile(m *psdf.Model, plat *platform.Platform) (*System, error) {
+	sch, err := ScheduleOf(m, plat)
+	if err != nil {
+		return nil, err
+	}
+	return CompileSchedule(m, plat, sch)
+}
+
+// ScheduleOf validates model m and platform plat (nil for a bare
+// model) as Compile does, extracts the schedule at the package size
+// Compile would use, and refuses with ErrTooLarge a schedule the
+// product encoding cannot hold. Callers that can decide from the
+// schedule alone (sched.Schedule.Drains) build no product at all.
+func ScheduleOf(m *psdf.Model, plat *platform.Platform) (*sched.Schedule, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
@@ -66,11 +80,17 @@ func Compile(m *psdf.Model, plat *platform.Platform) (*System, error) {
 	if n := sch.NumStages(); n > maxStages {
 		return nil, fmt.Errorf("%w: %d stages (max %d)", ErrTooLarge, n, maxStages)
 	}
-	procs := m.Processes()
-	if len(procs) > maxProcs {
-		return nil, fmt.Errorf("%w: %d processes (max %d)", ErrTooLarge, len(procs), maxProcs)
+	if n := m.NumProcesses(); n > maxProcs {
+		return nil, fmt.Errorf("%w: %d processes (max %d)", ErrTooLarge, n, maxProcs)
 	}
+	return sch, nil
+}
 
+// CompileSchedule builds the product system for m on plat from sch,
+// the schedule ScheduleOf returned for the same pair; it neither
+// validates nor extracts again.
+func CompileSchedule(m *psdf.Model, plat *platform.Platform, sch *sched.Schedule) (*System, error) {
+	procs := m.Processes()
 	s := &System{
 		sch:     sch,
 		procs:   procs,

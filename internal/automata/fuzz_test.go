@@ -12,8 +12,10 @@ import (
 // FuzzProduct cross-checks the persistence reduction against the
 // exhaustive product exploration on arbitrary documents, seeded from
 // the conformance generator's model family. Wherever both conclude
-// within budget they must agree, and every deadlock verdict must ship
-// a trace that replays into a stuck state.
+// within budget they must agree, every deadlock verdict must ship a
+// trace that replays into a stuck state, and the schedule's fixpoint
+// (sched.Schedule.Drains) must drain exactly when Check concludes
+// Terminates.
 func FuzzProduct(f *testing.F) {
 	gen := conform.NewGenerator(1, nil)
 	for i := 0; i < 12; i++ {
@@ -31,6 +33,11 @@ func FuzzProduct(f *testing.F) {
 			t.Skip() // invalid or oversized input
 		}
 		res := sys.Check(automata.Options{StateBudget: budget})
+		if res.Verdict != automata.Inconclusive {
+			if drains := sys.Schedule().Drains(); drains != (res.Verdict == automata.Terminates) {
+				t.Fatalf("Drains() = %v but Check verdict %v", drains, res.Verdict)
+			}
+		}
 		if res.Verdict == automata.Deadlocks {
 			stuck, err := sys.Replay(res.Trace)
 			if err != nil {

@@ -39,6 +39,24 @@ func (g *Generator) Next() *Case {
 	return &Case{Index: idx, Origin: "generated", Doc: g.random()}
 }
 
+// CyclicMutant returns a copy of doc in which the target of its i-th
+// flow (canonical order) feeds the flow's source back at the same
+// ordering number. Some mutants stay self-consistent and drain; others
+// starve, which are exactly the shapes the SB101 heuristic cannot
+// separate and the exact reachability check must. The copy is not
+// validated. CyclicMutant returns nil when doc has no i-th flow or
+// that flow leaves the system.
+func CyclicMutant(doc *dsl.Document, i int) *dsl.Document {
+	fs := doc.Model.Flows()
+	if i >= len(fs) || fs[i].Target == psdf.SystemOutput {
+		return nil
+	}
+	f := fs[i]
+	mut := cloneDoc(doc)
+	mut.Model.AddFlow(psdf.Flow{Source: f.Target, Target: f.Source, Items: f.Items, Order: f.Order, Ticks: 3})
+	return mut
+}
+
 // random builds a fresh random document, retrying the rare draw that
 // fails validation.
 func (g *Generator) random() *dsl.Document {

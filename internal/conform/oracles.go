@@ -78,9 +78,11 @@ var oracleList = []*Oracle{
 // (internal/automata) against the emulator: the checker's
 // deadlock-versus-terminates verdict must match whether the
 // estimation run actually gets stuck, and a deadlock verdict's
-// counterexample must replay into a stuck product state. Models the
-// compiler rejects (the validators own those) and budget-exhausted
-// explorations are out of the oracle's domain.
+// counterexample must replay into a stuck product state. The
+// schedule's closed-form fixpoint (sched.Schedule.Drains), which
+// decides the verdict in preflight, must agree with the checker.
+// Models the compiler rejects (the validators own those) and
+// budget-exhausted explorations are out of the oracle's domain.
 func checkReachability(c *Case) error {
 	sys, err := automata.Compile(c.Doc.Model, c.Doc.Platform)
 	if err != nil {
@@ -89,6 +91,9 @@ func checkReachability(c *Case) error {
 	res := sys.Check(automata.Options{})
 	if res.Verdict == automata.Inconclusive {
 		return errSkip
+	}
+	if drains := sys.Schedule().Drains(); drains != (res.Verdict == automata.Terminates) {
+		return fmt.Errorf("schedule fixpoint drains=%v disagrees with checker verdict %v", drains, res.Verdict)
 	}
 
 	_, estErr := c.Est()

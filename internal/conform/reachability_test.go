@@ -11,10 +11,10 @@ import (
 )
 
 // TestReachabilityAgreement is the acceptance property of the exact
-// reachability checker: over hundreds of generated models — plus
-// cyclic mutants of each, which can genuinely deadlock — the checker's
-// verdict must match the emulator's outcome, and every deadlock
-// counterexample must replay into a stuck state.
+// reachability checker: over hundreds of generated models — plus a
+// same-order cyclic mutant of each (CyclicMutant), which can genuinely
+// deadlock — the checker's verdict must match the emulator's outcome,
+// and every deadlock counterexample must replay into a stuck state.
 func TestReachabilityAgreement(t *testing.T) {
 	gen := NewGenerator(7, nil)
 	checked, deadlocks := 0, 0
@@ -22,17 +22,10 @@ func TestReachabilityAgreement(t *testing.T) {
 		c := gen.Next()
 		checked += agreeOnce(t, c.Doc.Model, c.Doc.Platform, &deadlocks)
 
-		// Cyclic mutant: feed the first flow's target back to its
-		// source at the same ordering number. Some mutants stay
-		// self-consistent and drain; others starve — exactly the
-		// shapes the SB101 heuristic cannot separate.
-		mut := cloneDoc(c.Doc)
-		fs := mut.Model.Flows()
-		if len(fs) == 0 || fs[0].Target == psdf.SystemOutput {
+		mut := CyclicMutant(c.Doc, 0)
+		if mut == nil {
 			continue
 		}
-		f := fs[0]
-		mut.Model.AddFlow(psdf.Flow{Source: f.Target, Target: f.Source, Items: f.Items, Order: f.Order, Ticks: 3})
 		checked += agreeOnce(t, mut.Model, mut.Platform, &deadlocks)
 	}
 	if checked < 200 {

@@ -24,6 +24,7 @@ package sched
 
 import (
 	"fmt"
+	"sort"
 
 	"segbus/internal/psdf"
 )
@@ -169,6 +170,108 @@ func (s *Schedule) Need(id FlowID, pkg int) int {
 		return fi.ib
 	}
 	return fi.ib + ((fi.kBase+pkg)*fi.is+fi.os-1)/fi.os
+}
+
+// Drains reports whether every stage of the schedule completes, that
+// is whether every run of the firing gates delivers every package.
+//
+// Stages run one after another, so each is decided on its own, as the
+// least fixpoint of its flows' emitted counts (SDF balance reasoning,
+// Lee & Messerschmitt 1987). A source that has received r packages
+// may emit every package of rank up to floor((r−ib)·os/is) on the
+// order (all os of them once r ≥ ib when is or os is 0): the exact
+// inverse of Need. That rank is split over the source's flows in
+// canonical order through kBase. Starting from zero, a worklist
+// re-evaluates only the sources whose received count grew, and a
+// per-source cursor walks each flow once, so the work is
+// O(flows + packages delivered). The gates are monotone and a package
+// in flight is always delivered (bus arbitration orders transfers but
+// never withholds one), so the counts alone decide: a stage completes
+// iff its fixpoint emits StagePackages.
+//
+// The products in the rank are at most TotalPackages², which must
+// therefore fit an int.
+func (s *Schedule) Drains() bool {
+	widest := 0
+	for _, st := range s.stages {
+		widest = max(widest, len(st.Flows))
+	}
+	groups := make([]drainGroup, 0, widest)
+	tgt := make([]int, widest) // per stage flow: target's group, or -1
+	work := make([]int, 0, widest)
+	for si, st := range s.stages {
+		// Extract numbers a stage's flows consecutively.
+		lo := int(st.Flows[0])
+		hi := lo + len(st.Flows)
+		groups = groups[:0]
+		for a := lo; a < hi; {
+			b := a + 1
+			for b < hi && s.flows[b].Source == s.flows[a].Source {
+				b++
+			}
+			groups = append(groups, drainGroup{first: a, cur: a, queued: true})
+			a = b
+		}
+		for f := lo; f < hi; f++ {
+			tgt[f-lo] = s.groupOf(groups, s.flows[f].Target)
+		}
+		work = work[:0]
+		for g := range groups {
+			work = append(work, g)
+		}
+		emitted := 0
+		for len(work) > 0 {
+			g := &groups[work[len(work)-1]]
+			work = work[:len(work)-1]
+			g.queued = false
+			fi := &s.info[g.first]
+			rank := fi.os
+			if fi.is > 0 {
+				rank = g.got * fi.os / fi.is
+			}
+			for g.rank < rank {
+				end := s.info[g.cur].kBase + s.info[g.cur].packages
+				if end <= g.rank {
+					g.cur++
+					continue
+				}
+				upTo := min(rank, end)
+				d := upTo - g.rank
+				g.rank = upTo
+				emitted += d
+				if t := tgt[g.cur-lo]; t >= 0 {
+					groups[t].got += d
+					if !groups[t].queued {
+						groups[t].queued = true
+						work = append(work, t)
+					}
+				}
+			}
+		}
+		if emitted != s.stagePkgs[si] {
+			return false
+		}
+	}
+	return true
+}
+
+// drainGroup is one source's state in a stage of Drains. The source's
+// same-order flows are contiguous in canonical order, from first; got
+// counts the packages it received on the order (r−ib), rank the
+// packages it emitted on it, and cur is the flow holding the next one.
+type drainGroup struct {
+	first, cur, got, rank int
+	queued                bool
+}
+
+// groupOf returns the index of p's group in groups, whose sources
+// ascend as in canonical order, or -1 when p emits nothing there.
+func (s *Schedule) groupOf(groups []drainGroup, p psdf.ProcessID) int {
+	i := sort.Search(len(groups), func(h int) bool { return s.flows[groups[h].first].Source >= p })
+	if i < len(groups) && s.flows[groups[i].first].Source == p {
+		return i
+	}
+	return -1
 }
 
 // StageOf returns the index (into Stages) of the stage containing flow

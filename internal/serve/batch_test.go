@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -118,13 +119,17 @@ func TestBatchGolden(t *testing.T) {
 // generated cases cross-checked three ways — batch report bytes vs a
 // sequential single /estimate of the same item, vs the CLI pipeline
 // (Case.CheckServed), with invalid items deliberately mixed into
-// every batch to prove one bad item never fails its siblings.
+// every batch to prove one bad item never fails its siblings. Each
+// batch also carries a deadlocking cyclic mutant, which must fail
+// alone with preflight's SB902 and diagnostics (generated cases
+// themselves always pass preflight).
 func TestBatchDifferential(t *testing.T) {
 	corpus, err := conform.LoadCorpusDir(filepath.Join("..", "..", "testdata", "scenarios"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := conform.NewGenerator(2, corpus)
+	deadlocked := deadlockedMutants(t, 2, 200)
 
 	s := New(Config{Workers: 4, Queue: 16, CacheEntries: 128})
 	h := s.Handler()
@@ -135,7 +140,7 @@ func TestBatchDifferential(t *testing.T) {
 	const wantServed = 200
 	const batchSize = 8
 	const maxBatches = 120
-	var served, failedItems, batches int
+	var served, failedItems, rejectedItems, batches int
 	for b := 0; served < wantServed && b < maxBatches; b++ {
 		type expect struct {
 			c       *conform.Case
@@ -153,6 +158,10 @@ func TestBatchDifferential(t *testing.T) {
 			case 5: // as does a half-missing request
 				items = append(items, EstimateRequest{PSM: "orphan"})
 				expects = append(expects, expect{invalid: true, code: CodeBadRequest})
+				continue
+			case 7: // and a pair preflight rejects
+				items = append(items, deadlocked[b%len(deadlocked)])
+				expects = append(expects, expect{code: CodeBadModel})
 				continue
 			}
 			c := g.Next()
@@ -184,6 +193,14 @@ func TestBatchDifferential(t *testing.T) {
 				if it.Status != http.StatusBadRequest || it.Code != ex.code {
 					t.Fatalf("batch %d item %d: status %d code %s, want 400 %s", b, i, it.Status, it.Code, ex.code)
 				}
+				if ex.code == CodeBadModel {
+					want, ok := preflightRejection(t, items[i])
+					if !ok || it.Error != want.msg || !reflect.DeepEqual(it.Diagnostics, want.diags) {
+						t.Fatalf("batch %d item %d: SB902 %q with %d diagnostic(s), want preflight's %q with %d",
+							b, i, it.Error, len(it.Diagnostics), want.msg, len(want.diags))
+					}
+					rejectedItems++
+				}
 				failedItems++
 				continue
 			}
@@ -211,7 +228,11 @@ func TestBatchDifferential(t *testing.T) {
 	if failedItems == 0 {
 		t.Error("differential run exercised no failing item")
 	}
-	t.Logf("batch differential: %d batches, %d served items, %d per-item failures", batches, served, failedItems)
+	if rejectedItems < batches {
+		t.Errorf("%d preflight rejections in %d batches, want at least one per batch", rejectedItems, batches)
+	}
+	t.Logf("batch differential: %d batches, %d served items, %d per-item failures, %d preflight rejections",
+		batches, served, failedItems, rejectedItems)
 }
 
 // TestBatchEnvelopeErrors covers the whole-envelope rejections: only

@@ -23,11 +23,12 @@ import (
 )
 
 // rejectedRequests returns requests that preflight rejects: every
-// deadlock scenario, and each of the first n generated conformance
-// cases of seed 1 whose PSDF, crossed with the previous case's PSM, is
-// rejected (generated cases themselves always pass preflight). valid
-// holds the uncrossed generated pairs, for warming a server with the
-// crossed pairs' neighbours.
+// deadlock scenario, the deadlocking same-order cyclic mutants of the
+// first n generated conformance cases of seed 1 (deadlockedMutants),
+// and each of those cases whose PSDF, crossed with the previous case's
+// PSM, is rejected (generated cases themselves always pass preflight).
+// valid holds the uncrossed generated pairs, for warming a server with
+// the crossed pairs' neighbours.
 func rejectedRequests(t *testing.T, n int) (rejected, valid []EstimateRequest) {
 	t.Helper()
 	docs, err := conform.LoadCorpusDir(filepath.Join("..", "..", "testdata", "scenarios", "deadlock"))
@@ -44,6 +45,7 @@ func rejectedRequests(t *testing.T, n int) (rejected, valid []EstimateRequest) {
 		}
 		rejected = append(rejected, EstimateRequest{PSDF: string(psdfXML), PSM: string(psmXML)})
 	}
+	rejected = append(rejected, deadlockedMutants(t, 1, n)...)
 	g := conform.NewGenerator(1, nil)
 	var prevPSM []byte
 	crossed := 0
@@ -70,6 +72,49 @@ func rejectedRequests(t *testing.T, n int) (rejected, valid []EstimateRequest) {
 		t.Fatalf("no crossed pair of %d generated cases is rejected by preflight", n)
 	}
 	return rejected, valid
+}
+
+// deadlockedMutants returns, as requests, the same-order cyclic
+// mutants (conform.CyclicMutant) of the first n generated conformance
+// cases of the seed that parse and that preflight rejects with an SB050
+// deadlock, counterexample trace included. It fails the test when none
+// does.
+func deadlockedMutants(t *testing.T, seed int64, n int) []EstimateRequest {
+	t.Helper()
+	g := conform.NewGenerator(seed, nil)
+	var out []EstimateRequest
+	for i := 0; i < n; i++ {
+		mut := conform.CyclicMutant(g.Next().Doc, 0)
+		if mut == nil {
+			continue
+		}
+		psdfXML, psmXML, err := conform.NewCase(mut).Schemes()
+		if err != nil {
+			continue
+		}
+		if _, err := schema.ParsePSDF(psdfXML); err != nil {
+			continue
+		}
+		req := EstimateRequest{PSDF: string(psdfXML), PSM: string(psmXML)}
+		if rej, ok := preflightRejection(t, req); !ok || !hasCode(rej.diags, analyze.CodeDeadlockState) {
+			continue
+		}
+		out = append(out, req)
+	}
+	if len(out) == 0 {
+		t.Fatalf("no cyclic mutant of %d generated cases (seed %d) deadlocks", n, seed)
+	}
+	return out
+}
+
+// hasCode reports whether a diagnostic with the code is among ds.
+func hasCode(ds []analyze.Diagnostic, code string) bool {
+	for _, d := range ds {
+		if d.Code == code {
+			return true
+		}
+	}
+	return false
 }
 
 // preflightRejection builds, from core.Preflight's diagnostics on the

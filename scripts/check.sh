@@ -40,6 +40,11 @@ go test -run '^$' -fuzz '^FuzzKeyMatchesRendering$' -fuzztime 15s -fuzzminimizet
 # fail with the same error, as encoding/json.
 go test -run '^$' -fuzz '^FuzzDecodeEstimate$' -fuzztime 15s -fuzzminimizetime 5x ./internal/serve
 
+# Differential fuzz smoke for exact reachability: the persistence
+# reduction must agree with the breadth-first product exploration, and
+# the schedule fixpoint that decides preflight's verdict with both.
+go test -run '^$' -fuzz '^FuzzProduct$' -fuzztime 15s -fuzzminimizetime 5x ./internal/automata
+
 # Bench smoke: every benchmark must still run (one iteration each) —
 # catches bit-rot in the benchmarks, and their error checks (status
 # codes, verdicts, pruning floors) still gate, without paying for
