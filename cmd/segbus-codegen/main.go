@@ -22,6 +22,7 @@ import (
 	"segbus/internal/obs/profflag"
 	"segbus/internal/platform"
 	"segbus/internal/psdf"
+	"segbus/internal/sched"
 	"segbus/internal/schema"
 )
 
@@ -91,7 +92,7 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("need -model, or -psdf together with -psm")
 	}
 
-	prog, err := codegen.Generate(m, plat)
+	prog, err := codegen.Generate(sched.NewPair(m, plat))
 	if err != nil {
 		return err
 	}

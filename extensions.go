@@ -3,6 +3,7 @@ package segbus
 import (
 	"segbus/internal/codegen"
 	"segbus/internal/power"
+	"segbus/internal/sched"
 	"segbus/internal/stats"
 	"segbus/internal/sweep"
 )
@@ -70,7 +71,7 @@ func CongestionReport(r *Report) string { return stats.CongestionReport(r) }
 // with its Listing (human-readable) or VHDL (synthesizable skeleton)
 // methods.
 func GenerateArbiters(m *Model, p *Platform) (*ArbiterProgram, error) {
-	return codegen.Generate(m, p)
+	return codegen.Generate(sched.NewPair(m, p))
 }
 
 // EstimateEnergy derives an activity-based energy estimate for an

@@ -33,6 +33,7 @@ import (
 	"segbus/internal/emulator"
 	"segbus/internal/platform"
 	"segbus/internal/psdf"
+	"segbus/internal/sched"
 )
 
 // Severity classifies a diagnostic. Errors mark models the emulator
@@ -111,14 +112,27 @@ func (d Diagnostic) String() string {
 // Pass carries one analysis run's inputs to an analyzer and collects
 // its findings. Model is always set; Platform may be nil for
 // analyzers that do not require one; Doc is set when the input came
-// from the DSL (carrying stereotype declarations).
+// from the DSL (carrying stereotype declarations). Pair is the run's
+// one admission of (Model, Platform), shared by every analyzer.
 type Pass struct {
 	Model    *psdf.Model
 	Platform *platform.Platform
 	Doc      *dsl.Document
+	Pair     *sched.Pair
 
 	analyzer string
 	result   *Result
+}
+
+// bounds returns BoundsOf the pass's pair, computed once per run; nil
+// when the pair fails a check the bounds require.
+func (p *Pass) bounds() *Bounds {
+	r := p.result
+	if !r.boundsDone {
+		r.bounds, _ = BoundsOf(p.Pair)
+		r.boundsDone = true
+	}
+	return r.bounds
 }
 
 // Report records one finding.
@@ -231,6 +245,10 @@ type Result struct {
 	Diagnostics []Diagnostic `json:"diagnostics"`
 	Skipped     []string     `json:"skipped,omitempty"` // analyzers skipped (no platform)
 	Bounds      *Bounds      `json:"bounds,omitempty"`  // set by the bounds analyzer
+	Pair        *sched.Pair  `json:"-"`                 // the run's admission, to emulate on
+
+	bounds     *Bounds // Pass.bounds' memo
+	boundsDone bool
 }
 
 // Counts returns the number of error, warning and info diagnostics.
@@ -293,9 +311,9 @@ func (r *Result) String() string {
 }
 
 // Run analyzes a DSL document: the parsed model, its optional platform
-// and its stereotype declarations.
+// and its stereotype declarations, admitted once for every analyzer.
 func Run(doc *dsl.Document, opts Options) *Result {
-	res := &Result{Model: doc.Model.Name()}
+	res := &Result{Model: doc.Model.Name(), Pair: sched.NewPair(doc.Model, doc.Platform)}
 	if doc.Platform != nil {
 		res.Platform = doc.Platform.Name
 	}
@@ -312,6 +330,7 @@ func Run(doc *dsl.Document, opts Options) *Result {
 			Model:    doc.Model,
 			Platform: doc.Platform,
 			Doc:      doc,
+			Pair:     res.Pair,
 			analyzer: a.Name,
 			result:   res,
 		}

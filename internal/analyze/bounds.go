@@ -8,6 +8,7 @@ import (
 	"segbus/internal/emulator"
 	"segbus/internal/platform"
 	"segbus/internal/psdf"
+	"segbus/internal/sched"
 )
 
 // CodeBoundsInfo is the informational diagnostic summarising the
@@ -110,8 +111,8 @@ func init() {
 }
 
 func runBounds(pass *Pass) {
-	b, err := ComputeBounds(pass.Model, pass.Platform)
-	if err != nil {
+	b := pass.bounds()
+	if b == nil {
 		return // structural findings cover invalid inputs
 	}
 	pass.result.Bounds = b
@@ -121,15 +122,9 @@ func runBounds(pass *Pass) {
 }
 
 // ComputeBounds derives the static performance figures for model m on
-// platform plat under the paper's estimation timing model (zero
-// protocol overheads, default end-detection latency). It requires a
-// structurally valid pair and returns an error otherwise.
+// platform plat: BoundsOf their pair.
 func ComputeBounds(m *psdf.Model, plat *platform.Platform) (*Bounds, error) {
-	q, err := NewBoundsQuery(m)
-	if err != nil {
-		return nil, err
-	}
-	return q.Bounds(plat)
+	return BoundsOf(sched.NewPair(m, plat))
 }
 
 // BoundsQuery answers repeated bounds queries over one model — the
@@ -137,29 +132,43 @@ func ComputeBounds(m *psdf.Model, plat *platform.Platform) (*Bounds, error) {
 // varies the platform, so the model-side validation is paid once here
 // and each candidate pays only the platform-dependent work.
 type BoundsQuery struct {
-	m *psdf.Model
+	model *sched.ModelCheck
 }
 
 // NewBoundsQuery validates the model once and returns a query handle.
 func NewBoundsQuery(m *psdf.Model) (*BoundsQuery, error) {
-	if err := m.Validate(); err != nil {
-		return nil, fmt.Errorf("analyze: bounds need a valid model: %w", err)
+	q := &BoundsQuery{model: sched.CheckModel(m)}
+	if q.model.Err != nil {
+		return nil, fmt.Errorf("analyze: bounds need a valid model: %w", q.model.Err)
 	}
-	return &BoundsQuery{m: m}, nil
+	return q, nil
 }
 
-// Bounds computes the static figures of the query's model on one
-// candidate platform. Safe for concurrent use: the handle is
-// read-only after construction, so explorer workers share one.
-func (q *BoundsQuery) Bounds(plat *platform.Platform) (*Bounds, error) {
-	m := q.m
-	if err := plat.Validate(); err != nil {
-		return nil, fmt.Errorf("analyze: bounds need a valid platform: %w", err)
-	}
-	if err := plat.ValidateMapping(m); err != nil {
-		return nil, fmt.Errorf("analyze: bounds need a complete mapping: %w", err)
-	}
+// Pair admits a candidate platform against the query's model, for
+// BoundsOf and the candidate's other consumers.
+func (q *BoundsQuery) Pair(plat *platform.Platform) *sched.Pair { return q.model.Pair(plat) }
 
+// Bounds computes the static figures of the query's model on one
+// candidate platform.
+func (q *BoundsQuery) Bounds(plat *platform.Platform) (*Bounds, error) { return BoundsOf(q.Pair(plat)) }
+
+// BoundsOf derives the static performance figures of a pair under the
+// paper's estimation timing model (zero protocol overheads, default
+// end-detection latency). It wraps the pair's first failed model,
+// platform or mapping check; the roles change no figure.
+func BoundsOf(p *sched.Pair) (*Bounds, error) {
+	switch {
+	case p.ModelErr != nil:
+		return nil, fmt.Errorf("analyze: bounds need a valid model: %w", p.ModelErr)
+	case p.PlatformErr != nil:
+		return nil, fmt.Errorf("analyze: bounds need a valid platform: %w", p.PlatformErr)
+	case p.MappingErr != nil:
+		return nil, fmt.Errorf("analyze: bounds need a complete mapping: %w", p.MappingErr)
+	}
+	return computeBounds(p.Model, p.Platform), nil
+}
+
+func computeBounds(m *psdf.Model, plat *platform.Platform) *Bounds {
 	s := plat.PackageSize
 	nominal := m.NominalPackageSize()
 	header := int64(plat.HeaderTicks)
@@ -278,5 +287,5 @@ func (q *BoundsQuery) Bounds(plat *platform.Platform) (*Bounds, error) {
 	for _, name := range crossOrder {
 		b.Crossings = append(b.Crossings, *crossing[name])
 	}
-	return b, nil
+	return b
 }

@@ -39,8 +39,9 @@ const (
 // discussion of the paper's conclusion: the 3-segment MP3 allocation
 // funnels 32 crossing packages through BU12 against a single package
 // through BU23, so migrating border processes or splitting their
-// traffic would level the load. It needs only the static figures of
-// ComputeBounds, not an emulation run (package stats performs the
+// traffic would level the load. It needs only the static figures the
+// bounds analyzer publishes (one Bounds per run, Pass.bounds), not an
+// emulation run (package stats performs the
 // dynamic, post-run counterpart).
 func init() {
 	Register(&Analyzer{
@@ -52,8 +53,8 @@ func init() {
 }
 
 func runCongestion(pass *Pass) {
-	b, err := ComputeBounds(pass.Model, pass.Platform)
-	if err != nil {
+	b := pass.bounds()
+	if b == nil {
 		return // structural findings cover invalid inputs
 	}
 	checkBUImbalance(pass, b)

@@ -6,6 +6,7 @@ import (
 	"segbus/internal/automata"
 	"segbus/internal/platform"
 	"segbus/internal/psdf"
+	"segbus/internal/sched"
 )
 
 // oracleExactReachability is the exact reachability check that builds
@@ -21,7 +22,12 @@ func oracleExactReachability(pass *Pass) {
 		}
 		return
 	}
-	res := sys.Check(automata.Options{})
+	reportCheck(pass, sys.Check(automata.Options{}))
+}
+
+// reportCheck is checkExactReachability's reporting of a check's
+// outcome, for the oracles.
+func reportCheck(pass *Pass, res *automata.Result) {
 	switch res.Verdict {
 	case automata.Inconclusive:
 		pass.Reportf(CodeBudgetExhausted, SeverityInfo, "model",
@@ -56,7 +62,7 @@ func OracleExactReachability(m *psdf.Model, plat *platform.Platform) []Diagnosti
 }
 
 func runCheck(check func(*Pass), m *psdf.Model, plat *platform.Platform) []Diagnostic {
-	pass := &Pass{Model: m, Platform: plat, analyzer: "liveness", result: &Result{}}
+	pass := &Pass{Model: m, Platform: plat, Pair: sched.NewPair(m, plat), analyzer: "liveness", result: &Result{}}
 	check(pass)
 	return pass.result.Diagnostics
 }

@@ -9,8 +9,12 @@ import (
 
 // FuzzAnalyze feeds arbitrary text through the DSL parser and, for
 // every document that parses, runs the full analyzer registry plus
-// both renderings. The property: analysis never panics, whatever the
-// model looks like — broken platforms, cycles, isolated processes.
+// both renderings. The properties: analysis never panics, whatever the
+// model looks like — broken platforms, cycles, isolated processes —
+// and every consumer of the shared admission agrees with the gate it
+// had of its own (CheckAgreement). Documents whose package count
+// exceeds maxFuzzPackages are skipped: the bounds walk every package,
+// so a fuzzed item count would otherwise stall the target.
 func FuzzAnalyze(f *testing.F) {
 	f.Add("application empty\n")
 	// A cyclic same-stage flow pair (provable deadlock, SB101).
@@ -48,6 +52,9 @@ segment 1 clock=0Hz processes=P0
 		if err != nil {
 			return // only parsed documents are analyzed
 		}
+		if packages(doc) > maxFuzzPackages {
+			return
+		}
 		res := Run(doc, Options{})
 		if res == nil {
 			t.Fatal("Run returned nil result")
@@ -56,5 +63,30 @@ segment 1 clock=0Hz processes=P0
 		if _, err := res.JSON(); err != nil {
 			t.Fatalf("JSON rendering failed: %v", err)
 		}
+		if err := CheckAgreement(doc); err != nil {
+			t.Fatal(err)
+		}
 	})
+}
+
+// maxFuzzPackages bounds the package transfers of a fuzzed document.
+const maxFuzzPackages = 1 << 20
+
+// packages counts doc's package transfers at the platform's package
+// size, or at the nominal one (1 when unset) when that is not
+// positive.
+func packages(doc *dsl.Document) int {
+	s := doc.Model.NominalPackageSize()
+	if doc.Platform != nil && doc.Platform.PackageSize > 0 {
+		s = doc.Platform.PackageSize
+	}
+	s = max(s, 1)
+	n := 0
+	for _, f := range doc.Model.Flows() {
+		n += f.Packages(s)
+		if n > maxFuzzPackages {
+			break
+		}
+	}
+	return n
 }

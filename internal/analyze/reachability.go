@@ -43,7 +43,7 @@ const (
 // exploration that runs out of its state budget, degrades to an SB052
 // note, leaving the heuristics in charge.
 func checkExactReachability(pass *Pass) {
-	sch, err := automata.ScheduleOf(pass.Model, pass.Platform)
+	sch, err := automata.ScheduleOf(pass.Pair)
 	if err != nil {
 		if errors.Is(err, automata.ErrTooLarge) {
 			pass.Reportf(CodeBudgetExhausted, SeverityInfo, "model",

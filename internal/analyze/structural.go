@@ -7,9 +7,10 @@ import (
 // The structural analyzer surfaces the existing dsl/psdf/platform
 // validators behind their stable codes: PSDF well-formedness
 // (SB001–SB010), platform constraints and mapping/role checks
-// (SB020–SB032), and DSL-level consistency (SB040/SB041). It is the
-// exact validation set the emulator applies before a run, so an
-// error here means the emulator would reject the model.
+// (SB020–SB032), and DSL-level consistency (SB040/SB041). It reports
+// the run's admission (Pass.Pair), the very checks the emulator
+// applies before a run, so an error here means the emulator would
+// reject the model.
 func init() {
 	Register(&Analyzer{
 		Name: "structural",
@@ -19,11 +20,7 @@ func init() {
 }
 
 func runStructural(pass *Pass) {
-	doc := pass.Doc
-	if doc == nil {
-		doc = &dsl.Document{Model: pass.Model, Platform: pass.Platform}
-	}
-	for _, d := range doc.Validate() {
+	for _, d := range pass.Doc.ValidatePair(pass.Pair) {
 		sev := SeverityError
 		if d.Severity == dsl.SeverityWarning {
 			sev = SeverityWarning

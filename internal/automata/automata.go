@@ -46,9 +46,9 @@
 //     hashed state deduplication and a configurable state budget,
 //     used to find a shortest action trace into the stuck
 //     configuration and as the ground truth the reduced run is
-//     cross-checked against (see FuzzProduct). Frontier levels are
-//     expanded by parallel workers with a deterministic in-order
-//     merge, so the reported trace never depends on scheduling.
+//     cross-checked against (see FuzzProduct). It runs serially on
+//     the caller's goroutine: a server gets its concurrency from
+//     requests, not from one request's search.
 //
 // The same fixpoint can be computed over integer counts alone, without
 // the product (sched.Schedule.Drains); the liveness analyzer reads its
@@ -189,11 +189,6 @@ type Options struct {
 	// across both explorers; zero selects DefaultStateBudget. When
 	// the budget is exhausted the verdict is Inconclusive.
 	StateBudget int
-
-	// Workers is the parallelism of the breadth-first explorer's
-	// frontier expansion; zero selects min(GOMAXPROCS, 8), one runs
-	// serially. Results are identical for any worker count.
-	Workers int
 }
 
 // Result is the outcome of an exact reachability check.

@@ -38,7 +38,7 @@ func (s *System) Check(opts Options) *Result {
 	res.NeverFired = s.neverFired(red.final)
 	s.fillStuck(res, red.final)
 
-	if prod := s.exploreProduct(budget, opts.Workers); prod.verdict == Deadlocks {
+	if prod := s.exploreProduct(budget); prod.verdict == Deadlocks {
 		res.Trace = prod.trace
 		res.Minimal = true
 		res.States += prod.states

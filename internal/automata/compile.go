@@ -25,52 +25,32 @@ const (
 	maxProcs    = 1 << 12
 )
 
-// Compile builds the product system for model m mapped onto plat.
-// Both inputs are validated first; a validation error is returned
-// as-is, so callers can distinguish broken models (skip silently —
-// the structural analyzers own those findings) from oversized ones
-// (ErrTooLarge). plat may be nil to check a bare application model:
-// every process then shares one implicit segment and the package
-// size falls back to the model's nominal (or 1 when unset) —
-// deadlock is a property of the firing gates, not of the platform
-// timing, so the verdict is meaningful either way. Compile is
-// ScheduleOf followed by CompileSchedule.
+// Compile builds the product system for model m mapped onto plat:
+// ScheduleOf on the pair's admission checks, then CompileSchedule.
+// plat may be nil to check a bare application model: every process
+// then shares one implicit segment and the package size falls back
+// to the model's nominal (or 1 when unset) — deadlock is a property
+// of the firing gates, not of the platform timing, so the verdict is
+// meaningful either way.
 func Compile(m *psdf.Model, plat *platform.Platform) (*System, error) {
-	sch, err := ScheduleOf(m, plat)
+	sch, err := ScheduleOf(sched.NewPair(m, plat))
 	if err != nil {
 		return nil, err
 	}
 	return CompileSchedule(m, plat, sch)
 }
 
-// ScheduleOf validates model m and platform plat (nil for a bare
-// model) as Compile does, extracts the schedule at the package size
-// Compile would use, and refuses with ErrTooLarge a schedule the
-// product encoding cannot hold. Callers that can decide from the
-// schedule alone (sched.Schedule.Drains) build no product at all.
-func ScheduleOf(m *psdf.Model, plat *platform.Platform) (*sched.Schedule, error) {
-	if err := m.Validate(); err != nil {
+// ScheduleOf returns the schedule of an admitted pair. The pair's
+// first failed check is returned as-is, so callers can tell broken
+// models (skip silently — the structural analyzers own those findings)
+// from oversized ones, refused with ErrTooLarge. Callers that can
+// decide from the schedule alone (sched.Schedule.Drains) build no
+// product at all.
+func ScheduleOf(p *sched.Pair) (*sched.Schedule, error) {
+	if err := p.Err(); err != nil {
 		return nil, err
 	}
-	packageSize := 0
-	if plat != nil {
-		if err := plat.Validate(); err != nil {
-			return nil, err
-		}
-		if err := plat.ValidateMapping(m); err != nil {
-			return nil, err
-		}
-		if err := plat.ValidateRoles(m); err != nil {
-			return nil, err
-		}
-		packageSize = plat.PackageSize
-	} else {
-		packageSize = m.NominalPackageSize()
-		if packageSize <= 0 {
-			packageSize = 1
-		}
-	}
-	sch, err := sched.Extract(m, packageSize)
+	sch, err := p.Schedule()
 	if err != nil {
 		return nil, err
 	}
@@ -80,7 +60,7 @@ func ScheduleOf(m *psdf.Model, plat *platform.Platform) (*sched.Schedule, error)
 	if n := sch.NumStages(); n > maxStages {
 		return nil, fmt.Errorf("%w: %d stages (max %d)", ErrTooLarge, n, maxStages)
 	}
-	if n := m.NumProcesses(); n > maxProcs {
+	if n := p.Model.NumProcesses(); n > maxProcs {
 		return nil, fmt.Errorf("%w: %d processes (max %d)", ErrTooLarge, n, maxProcs)
 	}
 	return sch, nil

@@ -1,10 +1,5 @@
 package automata
 
-import (
-	"runtime"
-	"sync"
-)
-
 // productOutcome is the result of one breadth-first product
 // exploration.
 type productOutcome struct {
@@ -23,38 +18,15 @@ type stateRec struct {
 	act  Action
 }
 
-// expansion is one frontier state's expansion, computed by a worker.
-type expansion struct {
-	succs []succRec
-	stuck bool // zero successors and stages incomplete
-}
-
-type succRec struct {
-	key string
-	act Action
-}
-
-// minParallelFrontier is the frontier size below which level
-// expansion stays serial; smaller levels are cheaper than the
-// hand-off to workers.
-const minParallelFrontier = 64
-
 // exploreProduct runs the exhaustive breadth-first exploration of the
 // product: an iterative worklist (frontier levels) with hashed state
 // deduplication, stopping at the first stuck state (which, in level
 // order, is one of minimal depth — its predecessor chain is a
 // shortest counterexample trace) or when the distinct-state budget is
-// exhausted. Frontier levels are expanded by workers in parallel;
-// the merge walks the frontier in order and the per-state successor
-// enumeration is fixed, so the discovery order — and therefore the
-// reported trace — is identical for any worker count.
-func (s *System) exploreProduct(budget, workers int) productOutcome {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-		if workers > 8 {
-			workers = 8
-		}
-	}
+// exhausted. The frontier is expanded in order and the per-state
+// successor enumeration is fixed, so the discovery order — and
+// therefore the reported trace — is deterministic.
+func (s *System) exploreProduct(budget int) productOutcome {
 	root := s.initial()
 	visited := make(map[string]int32, 1024)
 	states := []stateRec{{key: string(root), pred: -1}}
@@ -62,16 +34,30 @@ func (s *System) exploreProduct(budget, workers int) productOutcome {
 
 	frontier := []int32{0}
 	for len(frontier) > 0 {
-		keys := make([]string, len(frontier))
-		for fi, id := range frontier {
-			keys[fi] = states[id].key
-		}
-		exps := s.expandLevel(keys, workers)
-
 		var next []int32
-		for fi, exp := range exps {
-			if exp.stuck {
-				id := frontier[fi]
+		for _, id := range frontier {
+			st := []byte(states[id].key)
+			full := false
+			n := s.succ(st, func(a Action, ns []byte) {
+				if full {
+					return
+				}
+				if _, ok := visited[string(ns)]; ok {
+					return
+				}
+				if len(states) >= budget {
+					full = true
+					return
+				}
+				nid := int32(len(states))
+				states = append(states, stateRec{key: string(ns), pred: id, act: a})
+				visited[states[nid].key] = nid
+				next = append(next, nid)
+			})
+			if full {
+				return productOutcome{verdict: Inconclusive, states: len(states)}
+			}
+			if n == 0 && !s.done(st) {
 				return productOutcome{
 					verdict: Deadlocks,
 					states:  len(states),
@@ -79,65 +65,10 @@ func (s *System) exploreProduct(budget, workers int) productOutcome {
 					stuck:   []byte(states[id].key),
 				}
 			}
-			for _, sr := range exp.succs {
-				if _, ok := visited[sr.key]; ok {
-					continue
-				}
-				if len(states) >= budget {
-					return productOutcome{verdict: Inconclusive, states: len(states)}
-				}
-				id := int32(len(states))
-				visited[sr.key] = id
-				states = append(states, stateRec{key: sr.key, pred: frontier[fi], act: sr.act})
-				next = append(next, id)
-			}
 		}
 		frontier = next
 	}
 	return productOutcome{verdict: Terminates, states: len(states)}
-}
-
-// expandLevel computes the expansion of every frontier state (given
-// by its encoded key), fanning the work out to workers when the level
-// is large enough. Workers write disjoint slots of the result slice,
-// so no locking is needed; dedup against the visited set happens in
-// the caller's deterministic in-order merge.
-func (s *System) expandLevel(keys []string, workers int) []expansion {
-	exps := make([]expansion, len(keys))
-	expand := func(fi int) {
-		st := []byte(keys[fi])
-		n := s.succ(st, func(a Action, ns []byte) {
-			exps[fi].succs = append(exps[fi].succs, succRec{key: string(ns), act: a})
-		})
-		exps[fi].stuck = n == 0 && !s.done(st)
-	}
-	if workers <= 1 || len(keys) < minParallelFrontier {
-		for fi := range keys {
-			expand(fi)
-		}
-		return exps
-	}
-	var wg sync.WaitGroup
-	chunk := (len(keys) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= len(keys) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(keys) {
-			hi = len(keys)
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for fi := lo; fi < hi; fi++ {
-				expand(fi)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	return exps
 }
 
 // rebuildTrace walks the predecessor chain from state id back to the

@@ -3,8 +3,8 @@ package automata
 // ExploreProduct exposes the breadth-first product explorer to the
 // external test package, so the reduced run's verdict can be
 // cross-checked against the exhaustive ground truth.
-func (s *System) ExploreProduct(budget, workers int) (Verdict, int) {
-	p := s.exploreProduct(budget, workers)
+func (s *System) ExploreProduct(budget int) (Verdict, int) {
+	p := s.exploreProduct(budget)
 	return p.verdict, p.states
 }
 

@@ -49,7 +49,7 @@ func FuzzProduct(f *testing.F) {
 		}
 
 		terminated, exhausted, _ := sys.RunReduced(budget)
-		verdict, _ := sys.ExploreProduct(budget, 2)
+		verdict, _ := sys.ExploreProduct(budget)
 		if exhausted || verdict == automata.Inconclusive {
 			return // one side ran out of budget; nothing to compare
 		}

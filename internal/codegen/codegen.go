@@ -87,22 +87,20 @@ type Program struct {
 	CA          []CAGrant
 }
 
-// Generate derives the arbiter programs from the model and the
-// platform. The model and mapping are validated first.
-func Generate(m *psdf.Model, plat *platform.Platform) (*Program, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
+// Generate derives the arbiter programs of an admitted pair. Its
+// model, platform and mapping checks must pass (the first failure is
+// returned as-is); the FU interface roles are not checked.
+func Generate(p *sched.Pair) (*Program, error) {
+	for _, err := range [...]error{p.ModelErr, p.PlatformErr, p.MappingErr} {
+		if err != nil {
+			return nil, err
+		}
 	}
-	if err := plat.Validate(); err != nil {
-		return nil, err
-	}
-	if err := plat.ValidateMapping(m); err != nil {
-		return nil, err
-	}
-	s, err := sched.Extract(m, plat.PackageSize)
+	s, err := p.Schedule()
 	if err != nil {
 		return nil, err
 	}
+	m, plat := p.Model, p.Platform
 
 	prog := &Program{
 		Application: m.Name(),

@@ -13,7 +13,7 @@ import (
 func TestGenerateMP3(t *testing.T) {
 	m := apps.MP3Model()
 	plat := apps.MP3Platform3(36)
-	prog, err := Generate(m, plat)
+	prog, err := Generate(sched.NewPair(m, plat))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestGenerateMP3(t *testing.T) {
 }
 
 func TestGrantsFollowStageOrder(t *testing.T) {
-	prog, err := Generate(apps.MP3Model(), apps.MP3Platform3(36))
+	prog, err := Generate(sched.NewPair(apps.MP3Model(), apps.MP3Platform3(36)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestGenerateMultiHop(t *testing.T) {
 	p.AddSegment(100*platform.MHz, 0)
 	p.AddSegment(100*platform.MHz, 1)
 	p.AddSegment(100*platform.MHz, 2)
-	prog, err := Generate(m, p)
+	prog, err := Generate(sched.NewPair(m, p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,19 +108,19 @@ func TestGenerateMultiHop(t *testing.T) {
 }
 
 func TestGenerateValidates(t *testing.T) {
-	if _, err := Generate(psdf.NewModel("bad"), apps.MP3Platform3(36)); err == nil {
+	if _, err := Generate(sched.NewPair(psdf.NewModel("bad"), apps.MP3Platform3(36))); err == nil {
 		t.Error("invalid model accepted")
 	}
 	m := apps.MP3Model()
 	p := platform.New("tiny", 100*platform.MHz, 36)
 	p.AddSegment(100*platform.MHz, 0)
-	if _, err := Generate(m, p); err == nil {
+	if _, err := Generate(sched.NewPair(m, p)); err == nil {
 		t.Error("incomplete mapping accepted")
 	}
 }
 
 func TestListing(t *testing.T) {
-	prog, err := Generate(apps.MP3Model(), apps.MP3Platform3(36))
+	prog, err := Generate(sched.NewPair(apps.MP3Model(), apps.MP3Platform3(36)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestListing(t *testing.T) {
 }
 
 func TestVHDL(t *testing.T) {
-	prog, err := Generate(apps.MP3Model(), apps.MP3Platform3(36))
+	prog, err := Generate(sched.NewPair(apps.MP3Model(), apps.MP3Platform3(36)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestVHDLNoInterSegment(t *testing.T) {
 	m.AddFlow(psdf.Flow{Source: 0, Target: 1, Items: 36, Order: 1, Ticks: 5})
 	p := platform.New("one", 100*platform.MHz, 36)
 	p.AddSegment(100*platform.MHz, 0, 1)
-	prog, err := Generate(m, p)
+	prog, err := Generate(sched.NewPair(m, p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,11 +187,11 @@ func TestVHDLNoInterSegment(t *testing.T) {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	a, err := Generate(apps.MP3Model(), apps.MP3Platform3(36))
+	a, err := Generate(sched.NewPair(apps.MP3Model(), apps.MP3Platform3(36)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Generate(apps.MP3Model(), apps.MP3Platform3(36))
+	b, err := Generate(sched.NewPair(apps.MP3Model(), apps.MP3Platform3(36)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,11 +15,12 @@ import (
 	"segbus/internal/emulator"
 	"segbus/internal/platform"
 	"segbus/internal/psdf"
+	"segbus/internal/sched"
 )
 
 func crossCheck(t *testing.T, label string, m *psdf.Model, plat *platform.Platform) {
 	t.Helper()
-	prog, err := codegen.Generate(m, plat)
+	prog, err := codegen.Generate(sched.NewPair(m, plat))
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}

@@ -26,6 +26,7 @@ import (
 	"segbus/internal/platform"
 	"segbus/internal/psdf"
 	"segbus/internal/realplat"
+	"segbus/internal/sched"
 	"segbus/internal/schema"
 	"segbus/internal/stats"
 	"segbus/internal/trace"
@@ -118,39 +119,21 @@ func (o Options) emulatorConfig(tr *trace.Trace) emulator.Config {
 
 // Estimate runs the estimation technique on in-memory models.
 func Estimate(m *psdf.Model, plat *platform.Platform, opts Options) (*Estimation, error) {
-	return estimate(nil, m, plat, opts)
-}
-
-// EstimateOn runs the estimation technique on a caller-provided
-// reusable emulator machine — the pooling seam a long-lived service
-// uses to skip per-request machine construction. Results are
-// byte-identical to Estimate for the same inputs; only the arena
-// storage is reused. The machine must not be in use by another
-// goroutine.
-func EstimateOn(mc *emulator.Machine, m *psdf.Model, plat *platform.Platform, opts Options) (*Estimation, error) {
-	return estimate(mc, m, plat, opts)
-}
-
-// estimate is the shared body of Estimate and EstimateOn: mc == nil
-// runs on a fresh machine.
-func estimate(mc *emulator.Machine, m *psdf.Model, plat *platform.Platform, opts Options) (*Estimation, error) {
+	var p *sched.Pair
 	if opts.Preflight {
-		if res := Preflight(m, plat); res.HasErrors() {
+		res := Preflight(m, plat)
+		if res.HasErrors() {
 			return nil, &PreflightError{Result: res}
 		}
+		p = res.Pair
+	} else {
+		p = sched.NewPair(m, plat)
 	}
 	var tr *trace.Trace
 	if opts.Trace {
 		tr = &trace.Trace{}
 	}
-	cfg := opts.emulatorConfig(tr)
-	var r *emulator.Report
-	var err error
-	if mc != nil {
-		r, err = mc.Run(m, plat, cfg)
-	} else {
-		r, err = emulator.Run(m, plat, cfg)
-	}
+	r, err := emulator.NewMachine().RunPair(p, opts.emulatorConfig(tr))
 	if err != nil {
 		return nil, err
 	}
@@ -238,9 +221,10 @@ type Ranked struct {
 // first). workers <= 0 selects one worker per CPU.
 func Explore(m *psdf.Model, candidates []Candidate, workers int) ([]Ranked, string) {
 	machines := pool.ForWorkers(workers)
+	model := sched.CheckModel(m)
 	out := make([]Ranked, len(candidates))
 	parallel.StealRun(len(candidates), parallel.StealOptions{Workers: workers}, func(i int) {
-		r, err := machines.Run(m, candidates[i].Platform, emulator.Config{})
+		r, err := machines.Run(model.Pair(candidates[i].Platform), emulator.Config{}, nil)
 		out[i] = Ranked{Candidate: candidates[i], Report: r, Err: err}
 	})
 	var rows []stats.ConfigResult

@@ -9,6 +9,7 @@ import (
 	"segbus/internal/emulator"
 	"segbus/internal/platform"
 	"segbus/internal/psdf"
+	"segbus/internal/sched"
 )
 
 func TestKeyDeterministic(t *testing.T) {
@@ -77,20 +78,24 @@ func TestKeyIgnoresSideChannels(t *testing.T) {
 }
 
 // reportJSON renders the report JSON of one estimation, on mc when it
-// is non-nil and on a fresh machine otherwise — what the service
-// caches and serves for the pair.
+// is non-nil (as the service's pooled run does) and through Estimate
+// on a fresh machine otherwise — what the service caches and serves
+// for the pair.
 func reportJSON(mc *emulator.Machine, m *psdf.Model, plat *platform.Platform, opts Options) ([]byte, error) {
-	var est *Estimation
+	var r *emulator.Report
 	var err error
 	if mc != nil {
-		est, err = EstimateOn(mc, m, plat, opts)
+		r, err = mc.RunPair(sched.NewPair(m, plat), opts.emulatorConfig(nil))
 	} else {
-		est, err = Estimate(m, plat, opts)
+		var est *Estimation
+		if est, err = Estimate(m, plat, opts); err == nil {
+			r = est.Report
+		}
 	}
 	if err != nil {
 		return nil, err
 	}
-	return est.Report.JSON()
+	return r.JSON()
 }
 
 // TestRunnerReportJSONDeterministic: two estimations of the same pair

@@ -1,6 +1,6 @@
 package core
 
-// The pooling seam: EstimateOn on a reused machine must produce report
+// The pooling seam: a run on a reused machine must produce report
 // bytes identical to a fresh-machine Estimate.
 
 import (
@@ -46,31 +46,29 @@ func TestReportJSONOnMatchesFresh(t *testing.T) {
 	}
 }
 
-func TestEstimateOnHonoursOptions(t *testing.T) {
-	mc := emulator.NewMachine()
+func TestEstimateHonoursOptions(t *testing.T) {
 	m, plat := apps.MP3Model(), apps.MP3Platform3(36)
-	est, err := EstimateOn(mc, m, plat, Options{Trace: true})
+	est, err := Estimate(m, plat, Options{Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if est.Trace == nil || len(est.Trace.Intervals) == 0 {
-		t.Error("EstimateOn with Trace produced no trace rows")
+		t.Error("Estimate with Trace produced no trace rows")
 	}
 	if len(est.BUs) == 0 {
-		t.Error("EstimateOn produced no BU analysis")
+		t.Error("Estimate produced no BU analysis")
 	}
 
-	// Preflight still gates the pooled path: the same-stage cycle
-	// Estimate rejects (SB101) must be rejected before the machine is
-	// touched.
+	// Preflight gates the run: the same-stage cycle (SB101) must be
+	// rejected before any emulation.
 	bad := psdf.NewModel("deadlock")
 	bad.AddFlow(psdf.Flow{Source: 0, Target: 1, Items: 36, Order: 1, Ticks: 5})
 	bad.AddFlow(psdf.Flow{Source: 1, Target: 0, Items: 36, Order: 1, Ticks: 5})
 	pb := platform.New("p", 100*platform.MHz, 36)
 	pb.AddSegment(100*platform.MHz, 0, 1)
-	if _, err := EstimateOn(mc, bad, pb, Options{Preflight: true}); err == nil {
-		t.Error("EstimateOn with Preflight accepted a model Estimate rejects")
+	if _, err := Estimate(bad, pb, Options{Preflight: true}); err == nil {
+		t.Error("Estimate with Preflight accepted a deadlocking model")
 	} else if _, ok := err.(*PreflightError); !ok {
-		t.Errorf("EstimateOn preflight error has type %T, want *PreflightError", err)
+		t.Errorf("Estimate preflight error has type %T, want *PreflightError", err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"segbus/internal/platform"
 	"segbus/internal/psdf"
+	"segbus/internal/sched"
 )
 
 // Severity classifies a diagnostic.
@@ -81,20 +82,22 @@ func (ds Diagnostics) String() string {
 // It returns every finding; an empty slice means the model is a
 // correct PSDF/PSM pair ready for transformation.
 func (doc *Document) Validate() Diagnostics {
-	var ds Diagnostics
+	return doc.ValidatePair(sched.NewPair(doc.Model, doc.Platform))
+}
 
-	if err := doc.Model.Validate(); err != nil {
-		if verrs, ok := err.(psdf.ValidationErrors); ok {
-			for _, v := range verrs {
-				el := doc.Model.Name()
-				if v.Flow != nil {
-					el = v.Flow.String()
-				}
-				ds = append(ds, Diagnostic{SeverityError, v.Code, el, v.Message})
-			}
-		} else {
-			ds = append(ds, Diagnostic{SeverityError, "", doc.Model.Name(), err.Error()})
+// ValidatePair is Validate on doc's admitted pair (sched.NewPair of
+// doc.Model and doc.Platform): every recorded violation becomes a
+// diagnostic, in admission order, the stereotype findings following
+// the model's.
+func (doc *Document) ValidatePair(pair *sched.Pair) Diagnostics {
+	var ds Diagnostics
+	verrs, _ := pair.ModelErr.(psdf.ValidationErrors)
+	for _, v := range verrs {
+		el := doc.Model.Name()
+		if v.Flow != nil {
+			el = v.Flow.String()
 		}
+		ds = append(ds, Diagnostic{SeverityError, v.Code, el, v.Message})
 	}
 
 	inferred := InferStereotypes(doc.Model)
@@ -110,21 +113,12 @@ func (doc *Document) Validate() Diagnostics {
 	if doc.Platform == nil {
 		return ds
 	}
-	appendViolations := func(err error) {
-		if err == nil {
-			return
+	for _, err := range [...]error{pair.PlatformErr, pair.MappingErr, pair.RolesErr} {
+		vs, _ := err.(platform.ConstraintViolations)
+		for _, v := range vs {
+			ds = append(ds, Diagnostic{SeverityError, v.Code, v.Element, v.Message})
 		}
-		if vs, ok := err.(platform.ConstraintViolations); ok {
-			for _, v := range vs {
-				ds = append(ds, Diagnostic{SeverityError, v.Code, v.Element, v.Message})
-			}
-			return
-		}
-		ds = append(ds, Diagnostic{SeverityError, "", doc.Platform.Name, err.Error()})
 	}
-	appendViolations(doc.Platform.Validate())
-	appendViolations(doc.Platform.ValidateMapping(doc.Model))
-	appendViolations(doc.Platform.ValidateRoles(doc.Model))
 
 	// Advisory findings.
 	if doc.Platform.PackageSize > 0 && doc.Model.NominalPackageSize() > 0 &&

@@ -2,7 +2,6 @@ package emulator
 
 import (
 	"fmt"
-
 	"time"
 
 	"segbus/internal/engine"
@@ -12,8 +11,7 @@ import (
 )
 
 // Run emulates application model m on platform plat and returns the
-// monitoring report. The model, the platform and their mapping are
-// validated first; any violation aborts the run.
+// monitoring report: RunPair on the pair's admission checks.
 //
 // Run constructs a fresh machine per call. Callers that emulate
 // repeatedly should hold a reusable Machine instead — same code path,
@@ -44,32 +42,29 @@ func NewMachine() *Machine {
 	return &Machine{mc: machine{sim: engine.NewSim()}}
 }
 
-// Run emulates application model m on platform plat on this machine's
-// arena and returns the monitoring report. Semantics are identical to
-// the package-level Run; only the storage is reused. Run re-primes the
-// machine from scratch, so it is total even after a previous run
-// failed or was abandoned mid-flight.
+// Run emulates application model m on platform plat on this
+// machine's arena: RunPair on the pair's admission checks.
 func (x *Machine) Run(m *psdf.Model, plat *platform.Platform, cfg Config) (*Report, error) {
+	return x.RunPair(sched.NewPair(m, plat), cfg)
+}
+
+// RunPair emulates the pair on this machine's arena and returns the
+// monitoring report; a bad configuration, then the pair's first failed
+// admission check, aborts the run. RunPair re-primes the machine from
+// scratch, so it is total even after a previous run failed or was
+// abandoned mid-flight.
+func (x *Machine) RunPair(p *sched.Pair, cfg Config) (*Report, error) {
 	if err := ValidateConfig(cfg); err != nil {
 		return nil, err
 	}
-	if err := m.Validate(); err != nil {
+	if err := p.Err(); err != nil {
 		return nil, err
 	}
-	if err := plat.Validate(); err != nil {
-		return nil, err
-	}
-	if err := plat.ValidateMapping(m); err != nil {
-		return nil, err
-	}
-	if err := plat.ValidateRoles(m); err != nil {
-		return nil, err
-	}
-	sch, err := sched.Extract(m, plat.PackageSize)
+	sch, err := p.Schedule()
 	if err != nil {
 		return nil, err
 	}
-	if err := x.mc.prime(plat, sch, m.NominalPackageSize(), cfg); err != nil {
+	if err := x.mc.prime(p.Platform, sch, p.Model.NominalPackageSize(), cfg); err != nil {
 		return nil, err
 	}
 	return x.mc.run()

@@ -8,8 +8,8 @@
 // construction-cost killer; it lives here so every repeated-emulation
 // workload — the serving stack, the design-space explorer, the sweep
 // curves, core.Explore's rankings — shares one implementation instead
-// of constructing fresh machines per candidate. Batch callers use Run,
-// one call per candidate.
+// of constructing fresh machines per candidate. Every caller checks
+// machines out through Run, one call per admitted pair.
 //
 // Correctness never depends on the pool: Machine.Run rebuilds every
 // piece of run-affecting state from the request's own models, and the
@@ -36,6 +36,7 @@ import (
 	"segbus/internal/obs"
 	"segbus/internal/platform"
 	"segbus/internal/psdf"
+	"segbus/internal/sched"
 )
 
 // DefaultPerKey bounds the free list of one shape: enough to keep
@@ -165,20 +166,23 @@ func (p *Pool) Put(key string, mc *emulator.Machine) {
 	p.mu.Unlock()
 }
 
-// Run emulates m on plat on a machine checked out for their shape and
-// returns the machine afterwards. A panic during the run becomes the
-// returned error and the machine is dropped rather than returned —
-// Reset is total, but a machine whose run tore a hole in the stack is
-// not worth salvaging.
-func (p *Pool) Run(m *psdf.Model, plat *platform.Platform, cfg emulator.Config) (r *emulator.Report, err error) {
+// Run emulates a pair on a machine checked out for its shape, telling
+// checkout (when non-nil) whether that was a pool hit. A panic during
+// the run becomes the returned error and the machine is dropped rather
+// than returned — Reset is total, but a machine whose run tore a hole
+// in the stack is not worth salvaging.
+func (p *Pool) Run(pr *sched.Pair, cfg emulator.Config, checkout func(warm bool)) (r *emulator.Report, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			r, err = nil, fmt.Errorf("pool: emulation panicked: %v", v)
 		}
 	}()
-	key := ShapeKey(m, plat)
-	mc, _ := p.Get(key)
-	r, err = mc.Run(m, plat, cfg)
+	key := ShapeKey(pr.Model, pr.Platform)
+	mc, warm := p.Get(key)
+	if checkout != nil {
+		checkout(warm)
+	}
+	r, err = mc.RunPair(pr, cfg)
 	p.Put(key, mc)
 	return r, err
 }

@@ -13,6 +13,7 @@ import (
 	"segbus/internal/apps"
 	"segbus/internal/emulator"
 	"segbus/internal/obs"
+	"segbus/internal/sched"
 )
 
 func TestDefaults(t *testing.T) {
@@ -122,21 +123,21 @@ func TestRunRecoversPanics(t *testing.T) {
 	p := New(Options{Hits: hits, Misses: misses})
 	m := apps.MP3Model()
 
-	if r, err := p.Run(m, nil, emulator.Config{}); err == nil || r != nil {
+	if r, err := p.Run(sched.NewPair(m, nil), emulator.Config{}, nil); err == nil || r != nil {
 		t.Fatalf("nil platform: report %v, err %v; want an error", r, err)
 	}
-	if _, err := p.Run(m, apps.MP3Platform3(36), emulator.Config{}); err != nil {
+	if _, err := p.Run(sched.NewPair(m, apps.MP3Platform3(36)), emulator.Config{}, nil); err != nil {
 		t.Fatalf("sibling run failed: %v", err)
 	}
 	// The warm machine is checked out (a hit) and panics mid-run.
-	if r, err := p.Run(m, apps.MP3Platform3(36), emulator.Config{Observer: panicObserver{}}); err == nil || r != nil {
+	if r, err := p.Run(sched.NewPair(m, apps.MP3Platform3(36)), emulator.Config{Observer: panicObserver{}}, nil); err == nil || r != nil {
 		t.Fatalf("panicking run: report %v, err %v; want an error", r, err)
 	}
 	if _, machines := p.Stats(); machines != 0 {
 		t.Errorf("%d machines free after the panicking run, want 0 (dropped)", machines)
 	}
 	// So the next run of that shape must construct a machine again.
-	if _, err := p.Run(m, apps.MP3Platform3(36), emulator.Config{}); err != nil {
+	if _, err := p.Run(sched.NewPair(m, apps.MP3Platform3(36)), emulator.Config{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if hits.Value() != 1 || misses.Value() != 2 {

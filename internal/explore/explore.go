@@ -206,18 +206,21 @@ func Run(m *psdf.Model, space *Space, opts Options) (*Result, error) {
 	res := &Result{Space: sp, Generated: len(cands), Points: make([]Point, len(cands))}
 	steal := parallel.StealOptions{Workers: opts.Workers, Seed: opts.Seed}
 
-	// Stage 1: analytic bounds, embarrassingly parallel and pure.
+	// Stage 1: analytic bounds, embarrassingly parallel and pure. Its
+	// pairs are not kept for stage 2: most candidates are pruned, and
+	// holding a pair each doubled the explorer's peak memory.
 	var boundsNs atomic.Int64
 	parallel.StealRun(len(cands), steal, func(i int) {
 		start := time.Now()
 		pt := &res.Points[i]
 		pt.Candidate = cands[i]
-		b, err := q.Bounds(cands[i].Platform)
+		pair := q.Pair(cands[i].Platform)
+		b, err := analyze.BoundsOf(pair)
 		if err != nil {
 			pt.Err = fmt.Errorf("bounds: %w", err)
 			return
 		}
-		pf, err := power.NewProfile(m, cands[i].Platform, opts.Params)
+		pf, err := power.ProfileOf(pair, opts.Params)
 		if err != nil {
 			pt.Err = fmt.Errorf("power profile: %w", err)
 			return
@@ -282,7 +285,8 @@ func Run(m *psdf.Model, space *Space, opts Options) (*Result, error) {
 			i := wave[k]
 			pt := &res.Points[i]
 			start := time.Now()
-			report, err := machines.Run(m, pt.Platform, emulator.Config{})
+			pair := q.Pair(pt.Platform)
+			report, err := machines.Run(pair, emulator.Config{}, nil)
 			pt.Stage.Emulate = time.Since(start).Nanoseconds()
 			emulateNs.Add(pt.Stage.Emulate)
 			if err != nil {
@@ -292,7 +296,7 @@ func Run(m *psdf.Model, space *Space, opts Options) (*Result, error) {
 				return
 			}
 			start = time.Now()
-			est, err := power.Estimate(m, pt.Platform, report, opts.Params)
+			pf, err := power.ProfileOf(pair, opts.Params)
 			pt.Stage.Power = time.Since(start).Nanoseconds()
 			powerNs.Add(pt.Stage.Power)
 			if err != nil {
@@ -301,6 +305,7 @@ func Run(m *psdf.Model, space *Space, opts Options) (*Result, error) {
 				opts.Heartbeat.Tick(int(done.Add(1)), int(failed.Load()))
 				return
 			}
+			est := pf.Estimate(report)
 			pt.Emulated = true
 			pt.ExecPs = int64(report.ExecutionTimePs)
 			pt.TotalPJ = est.TotalPJ

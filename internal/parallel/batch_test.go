@@ -18,6 +18,7 @@ import (
 	"segbus/internal/parallel"
 	"segbus/internal/platform"
 	"segbus/internal/psdf"
+	"segbus/internal/sched"
 )
 
 type job struct {
@@ -46,7 +47,7 @@ func runBatch(js []job, opts parallel.StealOptions) []outcome {
 	machines := pool.ForWorkers(opts.Workers)
 	out := make([]outcome, len(js))
 	parallel.StealRun(len(js), opts, func(i int) {
-		r, err := machines.Run(js[i].model, js[i].plat, emulator.Config{})
+		r, err := machines.Run(sched.NewPair(js[i].model, js[i].plat), emulator.Config{}, nil)
 		out[i] = outcome{r, err}
 	})
 	return out

@@ -83,30 +83,30 @@ type Report struct {
 }
 
 // Estimate derives the energy report for an emulation result. The
-// model and platform must be the ones the emulation ran with; the
-// schedule is re-derived to attribute per-flow traffic and compute
-// work.
+// model and platform must be the ones the emulation ran with.
 func Estimate(m *psdf.Model, plat *platform.Platform, r *emulator.Report, params Params) (*Report, error) {
-	// The traffic and compute attribution (bus items per segment,
-	// compute ticks rescaled exactly as the emulator charges them) is
-	// run-independent and shared with the explorer's pruning bounds —
-	// see Profile, which also documents why its LowerBoundPJ can never
-	// exceed the total computed here.
 	pf, err := NewProfile(m, plat, params)
 	if err != nil {
 		return nil, err
 	}
-	params = pf.params
+	return pf.Estimate(r), nil
+}
 
+// Estimate derives the energy report for an emulation result of the
+// profiled pair, from the same run-independent traffic and compute
+// attribution as LowerBoundPJ, which can therefore never exceed the
+// total computed here.
+func (pf *Profile) Estimate(r *emulator.Report) *Report {
+	params := pf.params
 	out := &Report{Params: params}
 	var dynamic float64
-	for _, seg := range plat.Segments {
-		se := SegmentEnergy{Segment: seg.Index, BusItems: pf.busItems[seg.Index]}
+	for _, seg := range pf.segOrder {
+		se := SegmentEnergy{Segment: seg, BusItems: pf.busItems[seg]}
 		se.BusPJ = float64(se.BusItems) * params.BusPJPerItem
-		if sa := r.SA(seg.Index); sa != nil {
+		if sa := r.SA(seg); sa != nil {
 			se.SAPJ = float64(sa.TCT) * params.SAPJPerTick
 		}
-		se.ComputePJ = float64(pf.compTicks[seg.Index]) * params.FUPJPerTick
+		se.ComputePJ = float64(pf.compTicks[seg]) * params.FUPJPerTick
 		dynamic += se.BusPJ + se.SAPJ + se.ComputePJ
 		out.Segments = append(out.Segments, se)
 	}
@@ -120,13 +120,13 @@ func Estimate(m *psdf.Model, plat *platform.Platform, r *emulator.Report, params
 	dynamic += out.CAPJ
 
 	runSeconds := float64(r.ExecutionTimePs) * 1e-12
-	out.StaticPJ = params.StaticUWPerSeg * 1e-6 * float64(plat.NumSegments()) * runSeconds * 1e12
+	out.StaticPJ = params.StaticUWPerSeg * 1e-6 * float64(pf.segments) * runSeconds * 1e12
 	out.DynamicPJ = dynamic
 	out.TotalPJ = dynamic + out.StaticPJ
 	if runSeconds > 0 {
 		out.AvgPowerM = out.TotalPJ * 1e-12 / runSeconds * 1e3
 	}
-	return out, nil
+	return out
 }
 
 // String renders the energy breakdown.

@@ -24,17 +24,25 @@ type Profile struct {
 	buOrder  []platform.BU // plat.BUs() order, matching the report's grouping
 }
 
-// NewProfile extracts the activity profile. The Params fix the
-// coefficients the bounds will be priced with (zero selects
-// DefaultParams, like Estimate).
+// NewProfile extracts the activity profile of model m on platform
+// plat: ProfileOf their pair.
 func NewProfile(m *psdf.Model, plat *platform.Platform, params Params) (*Profile, error) {
+	return ProfileOf(sched.NewPair(m, plat), params)
+}
+
+// ProfileOf extracts the activity profile of a pair from its schedule;
+// it applies none of the pair's admission checks. The Params fix the
+// coefficients the bounds and Estimate price with (zero selects
+// DefaultParams).
+func ProfileOf(p *sched.Pair, params Params) (*Profile, error) {
 	if params.zero() {
 		params = DefaultParams
 	}
-	s, err := sched.Extract(m, plat.PackageSize)
+	s, err := p.Schedule()
 	if err != nil {
 		return nil, err
 	}
+	m, plat := p.Model, p.Platform
 	pf := &Profile{
 		params:    params,
 		segments:  plat.NumSegments(),

@@ -9,6 +9,8 @@ import (
 	"segbus/internal/apps"
 	"segbus/internal/core"
 	"segbus/internal/emulator"
+	"segbus/internal/emulator/pool"
+	"segbus/internal/sched"
 )
 
 // mp3Request is the MP3 three-segment pair as an estimate request.
@@ -59,13 +61,13 @@ func BenchmarkCacheHitBytes(b *testing.B) {
 func BenchmarkPooledColdEstimate(b *testing.B) {
 	m := apps.MP3Model()
 	p := apps.MP3Platform3(36)
-	mc := emulator.NewMachine()
+	machines := pool.New(pool.Options{})
 	run := func() {
-		est, err := core.EstimateOn(mc, m, p, core.Options{})
+		r, err := machines.Run(sched.NewPair(m, p), emulator.Config{}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := est.Report.JSON(); err != nil {
+		if _, err := r.JSON(); err != nil {
 			b.Fatal(err)
 		}
 	}

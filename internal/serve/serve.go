@@ -60,6 +60,7 @@ import (
 	"segbus/internal/parallel"
 	"segbus/internal/platform"
 	"segbus/internal/psdf"
+	"segbus/internal/sched"
 	"segbus/internal/schema"
 )
 
@@ -434,7 +435,9 @@ type parsed struct {
 	m    *psdf.Model
 	plat *platform.Platform
 	opts core.Options
+	cfg  emulator.Config // opts as the emulator reads them
 	key  string
+	pair *sched.Pair // preflight's admission, emulated on a miss
 }
 
 // parseRequest decodes one estimate request into its parsed form:
@@ -510,11 +513,11 @@ func decodeRequest(req *EstimateRequest) (*parsed, outcome) {
 			CAResetTicks: req.Overheads.CAResetTicks,
 		}
 	}
-	if err := emulator.ValidateConfig(emulator.Config{
-		Overheads: opts.Overheads, DetectTicks: opts.DetectTicks, Policy: policy}); err != nil {
+	cfg := emulator.Config{Overheads: opts.Overheads, DetectTicks: opts.DetectTicks, Policy: policy}
+	if err := emulator.ValidateConfig(cfg); err != nil {
 		return nil, errOutcome(http.StatusBadRequest, CodeBadRequest, err.Error(), nil)
 	}
-	return &parsed{m: m, plat: plat, opts: opts}, outcome{}
+	return &parsed{m: m, plat: plat, opts: opts, cfg: cfg}, outcome{}
 }
 
 // preflight is the static gate between a cache miss and the flight
@@ -534,6 +537,7 @@ func preflight(tr *reqtrace.Trace, parent reqtrace.SpanID, pr *parsed) outcome {
 	defer tr.End(sp)
 	pre := core.Preflight(pr.m, pr.plat)
 	if !pre.HasErrors() {
+		pr.pair = pre.Pair
 		return outcome{}
 	}
 	tr.Attr(sp, "code", CodeBadModel)
@@ -629,10 +633,10 @@ func (s *Server) estimate(ctx context.Context, tr *reqtrace.Trace, parent reqtra
 // closure is only built when the request is sampled, so the untraced
 // path calls plain Submit semantics with a nil hook.
 //
-// The emulation runs on a checked-out pool machine through
-// core.EstimateOn — byte-identical to a fresh run, minus the
-// construction cost — and the machine goes back to the pool on every
-// outcome, including failed runs (Reset is total).
+// The pair preflight admitted runs on a pooled machine through
+// pool.Pool.Run — byte-identical to a fresh run, minus the
+// construction cost; a panicking run drops its machine and answers 500
+// SB906 like any other emulation failure.
 func (s *Server) emulate(ctx context.Context, tr *reqtrace.Trace, parent reqtrace.SpanID, pr *parsed) outcome {
 	var body []byte
 	var runErr error
@@ -642,26 +646,23 @@ func (s *Server) emulate(ctx context.Context, tr *reqtrace.Trace, parent reqtrac
 	}
 	err := s.pool.SubmitObserved(ctx, observe, func() {
 		sp := tr.Child(parent, "pool_checkout")
-		shape := pool.ShapeKey(pr.m, pr.plat)
-		mc, warm := s.machines.Get(shape)
-		if tr != nil {
+		var rep *emulator.Report
+		rep, runErr = s.machines.Run(pr.pair, pr.cfg, func(warm bool) {
+			result := "miss"
 			if warm {
-				tr.Attr(sp, "result", "hit")
-			} else {
-				tr.Attr(sp, "result", "miss")
+				result = "hit"
 			}
+			tr.Attr(sp, "result", result)
+			tr.End(sp)
+			sp = tr.Child(parent, "emulate")
+			if s.cfg.OnEmulate != nil {
+				s.cfg.OnEmulate()
+			}
+		})
+		if runErr == nil {
+			body, runErr = rep.JSON()
 		}
 		tr.End(sp)
-		sp = tr.Child(parent, "emulate")
-		if s.cfg.OnEmulate != nil {
-			s.cfg.OnEmulate()
-		}
-		var est *core.Estimation
-		if est, runErr = core.EstimateOn(mc, pr.m, pr.plat, pr.opts); runErr == nil {
-			body, runErr = est.Report.JSON()
-		}
-		tr.End(sp)
-		s.machines.Put(shape, mc)
 	})
 	switch {
 	case errors.Is(err, parallel.ErrQueueFull):

@@ -22,6 +22,7 @@ import (
 	"segbus/internal/parallel"
 	"segbus/internal/platform"
 	"segbus/internal/psdf"
+	"segbus/internal/sched"
 )
 
 // Point is one sample of a sensitivity curve.
@@ -77,6 +78,7 @@ func first(opts []Options) Options {
 // dispatchOrder).
 func curve(m *psdf.Model, base *platform.Platform, param string, n int, o Options, vary func(p *platform.Platform, i int) int64) Curve {
 	machines := pool.ForWorkers(o.Workers)
+	model := sched.CheckModel(m) // once per curve, not once per point
 	c := Curve{Param: param, Points: make([]Point, n)}
 	variants := make([]*platform.Platform, n)
 	prices := make([]int64, n)
@@ -91,7 +93,7 @@ func curve(m *psdf.Model, base *platform.Platform, param string, n int, o Option
 	parallel.StealRun(n, parallel.StealOptions{Workers: o.Workers, Seed: o.Seed}, func(j int) {
 		i := order[j]
 		pt := &c.Points[i]
-		r, err := machines.Run(m, variants[i], emulator.Config{})
+		r, err := machines.Run(model.Pair(variants[i]), emulator.Config{}, nil)
 		if err != nil {
 			pt.Err = err
 			failed.Add(1)

@@ -45,6 +45,12 @@ go test -run '^$' -fuzz '^FuzzDecodeEstimate$' -fuzztime 15s -fuzzminimizetime 5
 # the schedule fixpoint that decides preflight's verdict with both.
 go test -run '^$' -fuzz '^FuzzProduct$' -fuzztime 15s -fuzzminimizetime 5x ./internal/automata
 
+# Differential fuzz smoke for the shared admission: every DSL document
+# that parses is analyzed without panicking, and every consumer of the
+# one validated pair (emulator, bounds, automata, codegen, the DSL
+# pass and the analyzers) agrees with the gate it used to run itself.
+go test -run '^$' -fuzz '^FuzzAnalyze$' -fuzztime 15s -fuzzminimizetime 5x ./internal/analyze
+
 # Bench smoke: every benchmark must still run (one iteration each) —
 # catches bit-rot in the benchmarks, and their error checks (status
 # codes, verdicts, pruning floors) still gate, without paying for
@@ -55,11 +61,6 @@ go test -bench=. -benchtime=1x -run '^$' ./...
 # suite (dispatch-order replay, alloc regression, pending bookkeeping)
 # extra race-enabled rounds in fresh processes.
 go test -race -count=2 ./internal/engine
-
-# The exact reachability explorer expands frontier levels in parallel;
-# give its suite (deadlock gallery, reduced-vs-product cross-check)
-# extra race-enabled rounds in fresh processes too.
-go test -race -count=2 ./internal/automata
 
 # Metrics golden diff: segbus-emu -metrics-json over the MP3 scenario
 # must stay byte-identical to the reviewed golden (deterministic
