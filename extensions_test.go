@@ -41,6 +41,20 @@ func TestPublicEstimateEnergy(t *testing.T) {
 	}
 }
 
+// TestPublicEstimateEnergyCrossedPair: the MP3 decoder's report priced
+// on a platform that hosts only the JPEG encoder's processes is an
+// error, not a panic.
+func TestPublicEstimateEnergyCrossedPair(t *testing.T) {
+	m := segbus.MP3Decoder()
+	est, err := segbus.Estimate(m, segbus.MP3Platform3(36), segbus.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := segbus.EstimateEnergy(m, segbus.JPEGPlatform1(36), est.Report, segbus.EnergyParams{}); err == nil {
+		t.Error("EstimateEnergy accepted a crossed (model, platform) pair")
+	}
+}
+
 func TestPublicMP3Reference(t *testing.T) {
 	m := segbus.MP3Decoder()
 	if m.NumProcesses() != 15 || m.NumFlows() != 20 {

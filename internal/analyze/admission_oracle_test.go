@@ -1,6 +1,7 @@
 package analyze
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
@@ -36,7 +37,8 @@ func oracleEmulatorGate(m *psdf.Model, plat *platform.Platform) error {
 }
 
 // oracleBounds is the former ComputeBounds: NewBoundsQuery's model
-// check, then Bounds' platform and mapping checks, each wrapped.
+// check, then Bounds' platform and mapping checks, each wrapped, and
+// the per-package walk.
 func oracleBounds(m *psdf.Model, plat *platform.Platform) (*Bounds, error) {
 	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("analyze: bounds need a valid model: %w", err)
@@ -47,7 +49,7 @@ func oracleBounds(m *psdf.Model, plat *platform.Platform) (*Bounds, error) {
 	if err := plat.ValidateMapping(m); err != nil {
 		return nil, fmt.Errorf("analyze: bounds need a complete mapping: %w", err)
 	}
-	return computeBounds(m, plat), nil
+	return oraclePerPackageBounds(m, plat), nil
 }
 
 // oracleScheduleOf is the former automata.ScheduleOf, with the
@@ -241,9 +243,9 @@ const maxAgreementPackages = 1 << 15
 
 // CheckAgreement holds every consumer of the shared admission to its
 // former gate on one document: equal err.Error() from the emulator,
-// ComputeBounds, automata.Compile, codegen.Generate and
-// power.NewProfile, and byte-equal Document.Validate and Run output.
-// It returns the first disagreement.
+// ComputeBounds (and byte-equal Bounds, SameBounds), automata.Compile,
+// codegen.Generate and power.NewProfile, and byte-equal
+// Document.Validate and Run output. It returns the first disagreement.
 func CheckAgreement(doc *dsl.Document) error {
 	if got, want := doc.Validate(), oracleDocValidate(doc); !reflect.DeepEqual(got, want) {
 		return fmt.Errorf("Document.Validate:\n%s\nformer gate:\n%s", got, want)
@@ -283,20 +285,20 @@ func CheckAgreement(doc *dsl.Document) error {
 		return fmt.Errorf("emulator admission differs on a pair its former gate admits: %v, package size %d", p.Err(), p.PackageSize)
 	}
 
-	_, err = ComputeBounds(m, plat)
-	_, wantErr = oracleBounds(m, plat)
-	if err := sameErr("ComputeBounds", err, wantErr); err != nil {
+	if err := SameBounds(m, plat); err != nil {
 		return err
 	}
 
-	// power checks nothing: its former gate was the extraction alone.
-	// (Both panic on an unmapped process, so those pairs are left out.)
-	if plat.ValidateMapping(m) == nil {
-		_, err = power.NewProfile(m, plat, power.Params{})
-		_, wantErr = sched.Extract(m, plat.PackageSize)
-		if err := sameErr("power.NewProfile", err, wantErr); err != nil {
-			return err
-		}
+	// power checks nothing: its former gate was the extraction alone,
+	// and it panicked on a flow endpoint no segment hosts, which it now
+	// refuses with an error.
+	_, err = power.NewProfile(m, plat, power.Params{})
+	_, wantErr = sched.Extract(m, plat.PackageSize)
+	if wantErr == nil {
+		wantErr = unhostedFlow(m, plat)
+	}
+	if err := sameErr("power.NewProfile", err, wantErr); err != nil {
+		return err
 	}
 
 	wantErr = oracleCodegenGate(m, plat)
@@ -308,6 +310,39 @@ func CheckAgreement(doc *dsl.Document) error {
 	}
 	_, err = codegen.Generate(sched.NewPair(m, plat))
 	return sameErr("codegen.Generate", err, wantErr)
+}
+
+// SameBounds holds ComputeBounds to the former gate and per-package
+// walk on one pair: equal err.Error(), or byte-equal Bounds JSON.
+func SameBounds(m *psdf.Model, plat *platform.Platform) error {
+	got, err := ComputeBounds(m, plat)
+	want, wantErr := oracleBounds(m, plat)
+	if err := sameErr("ComputeBounds", err, wantErr); err != nil || got == nil {
+		return err
+	}
+	gj, err := json.Marshal(got)
+	if err != nil {
+		return err
+	}
+	wj, err := json.Marshal(want)
+	if err != nil {
+		return err
+	}
+	if string(gj) != string(wj) {
+		return fmt.Errorf("ComputeBounds on %s:\n%s\nper-package walk:\n%s", m.Name(), gj, wj)
+	}
+	return nil
+}
+
+// unhostedFlow is the error power refuses a pair with: the first flow,
+// in canonical order, whose source or target no segment hosts.
+func unhostedFlow(m *psdf.Model, plat *platform.Platform) error {
+	for _, f := range m.Flows() {
+		if plat.SegmentOf(f.Source) == 0 || (f.Target != psdf.SystemOutput && plat.SegmentOf(f.Target) == 0) {
+			return fmt.Errorf("power: flow %s has an endpoint on no segment of platform %q", f, plat.Name)
+		}
+	}
+	return nil
 }
 
 // sameErr reports a disagreement between a consumer's error and its

@@ -3,6 +3,7 @@ package analyze_test
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"segbus/internal/analyze"
@@ -10,6 +11,7 @@ import (
 	"segbus/internal/conform"
 	"segbus/internal/dsl"
 	"segbus/internal/platform"
+	"segbus/internal/power"
 	"segbus/internal/psdf"
 	"segbus/internal/schema"
 )
@@ -96,12 +98,21 @@ func TestConsumersAgreeWithFormerGates(t *testing.T) {
 	docs = append(docs, servedRejections(t, 200)...)
 	docs = append(docs, schemeSeeds(t)...)
 
+	unhosted := 0
 	for i, doc := range docs {
 		if err := analyze.CheckAgreement(doc); err != nil {
 			t.Fatalf("pair %d (%s): %v", i, doc.Model.Name(), err)
 		}
+		if doc.Platform != nil {
+			if _, err := power.NewProfile(doc.Model, doc.Platform, power.Params{}); err != nil && strings.Contains(err.Error(), "on no segment") {
+				unhosted++
+			}
+		}
 	}
-	t.Logf("%d pairs agree (%d roles-only faults)", len(docs), roles)
+	if unhosted == 0 {
+		t.Error("no pair reaches power's unhosted-endpoint error")
+	}
+	t.Logf("%d pairs agree (%d roles-only faults, %d refused by power for an unhosted endpoint)", len(docs), roles, unhosted)
 }
 
 // rolesOnlyFault returns doc with the FU hosting its first flow's

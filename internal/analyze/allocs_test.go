@@ -10,9 +10,9 @@ import (
 )
 
 // TestRunAllocs fences analyze.Run over the MP3 pair with every
-// analyzer at a ceiling set from measurement (424 allocations), so the
+// analyzer at a ceiling set from measurement (365 allocations), so the
 // run keeps one admission and one Bounds: a second ComputeBounds adds
-// 204 allocations, and any consumer's own model check alone 76. (The
+// 148 allocations, and any consumer's own model check alone 76. (The
 // race detector's instrumentation allocates more, so the fence is
 // built out under it.)
 func TestRunAllocs(t *testing.T) {
@@ -23,7 +23,7 @@ func TestRunAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("%.0f allocations per analysis", allocs)
-	if allocs > 450 {
-		t.Errorf("analyze.Run allocates %.0f times on MP3, want <= 450", allocs)
+	if allocs > 390 {
+		t.Errorf("analyze.Run allocates %.0f times on MP3, want <= 390", allocs)
 	}
 }

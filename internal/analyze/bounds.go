@@ -2,7 +2,6 @@ package analyze
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"segbus/internal/emulator"
@@ -168,124 +167,94 @@ func BoundsOf(p *sched.Pair) (*Bounds, error) {
 	return computeBounds(p.Model, p.Platform), nil
 }
 
+// computeBounds derives the figures in closed form. Every package of a
+// flow but the last carries s items and costs the same, so a flow adds
+// pk−1 times its first package's latency and load plus its last
+// one's: O(flows × hops), not O(packages). The int64 sums wrap alike
+// under multiplication and repeated addition, so every figure equals a
+// package-by-package walk's to the bit (TestBoundsMatchPerPackageOracle).
 func computeBounds(m *psdf.Model, plat *platform.Platform) *Bounds {
 	s := plat.PackageSize
 	nominal := m.NominalPackageSize()
-	header := int64(plat.HeaderTicks)
+	header, caHop := int64(plat.HeaderTicks), int64(plat.CAHopTicks)
 	caPeriod := plat.CAClock.PeriodPs()
 
-	periods := make(map[int]int64, len(plat.Segments))
+	// Per-segment figures are indexed by segment index − 1, per-BU ones
+	// by the BU's left segment − 1: the admitted platform numbers its
+	// segments 1..n. Every border unit gets an entry, so fully idle BUs
+	// still show up as the cold side of an imbalance.
+	b := &Bounds{PackageSize: s, Segments: make([]SegmentLoad, len(plat.Segments))}
+	periods := make([]int64, len(plat.Segments))
 	maxPeriod := caPeriod
-	for _, seg := range plat.Segments {
-		periods[seg.Index] = seg.Clock.PeriodPs()
-		if periods[seg.Index] > maxPeriod {
-			maxPeriod = periods[seg.Index]
-		}
+	for i, seg := range plat.Segments {
+		periods[i] = seg.Clock.PeriodPs()
+		maxPeriod = max(maxPeriod, periods[i])
+		b.Segments[i].Segment = seg.Index
 	}
-
-	b := &Bounds{PackageSize: s}
-	segTicks := make(map[int]int64, len(plat.Segments))
-	// Every border unit gets an entry, so fully idle BUs still show
-	// up as the cold side of an imbalance.
-	crossing := make(map[string]*BUCrossing)
-	var crossOrder []string
 	for _, bu := range plat.BUs() {
-		name := bu.Name()
-		crossing[name] = &BUCrossing{Name: name}
-		crossOrder = append(crossOrder, name)
+		b.Crossings = append(b.Crossings, BUCrossing{Name: bu.Name()})
 	}
 
-	// Serial per-process emission chains, per stage.
-	var orders []int
-	seenOrder := make(map[int]bool)
-	chains := make(map[int]map[psdf.ProcessID]int64)
-
-	var upperWork int64
-	for _, f := range m.Flows() {
-		if !seenOrder[f.Order] {
-			seenOrder[f.Order] = true
-			orders = append(orders, f.Order)
-			chains[f.Order] = make(map[psdf.ProcessID]int64)
-		}
-		srcSeg := plat.SegmentOf(f.Source)
-		dstSeg := srcSeg
-		if f.Target != psdf.SystemOutput {
-			dstSeg = plat.SegmentOf(f.Target)
-		}
-		route, rightward := plat.Route(srcSeg, dstSeg)
+	// Flows come sorted by order, then source, so the serial emission
+	// chain of one process in one stage is a run of consecutive flows.
+	var upperWork, chain, stageMax int64
+	flows := m.Flows()
+	for i, f := range flows {
+		src, dst, _ := plat.FlowSegments(f)
+		route, rightward := plat.Route(src, dst)
 		hops := int64(len(route))
 		pk := f.Packages(s)
 		b.TotalPackages += pk
-
 		for _, bu := range route {
-			c := crossing[bu.Name()]
-			if rightward {
+			if c := &b.Crossings[bu.Left-1]; rightward {
 				c.Rightward += pk
 			} else {
 				c.Leftward += pk
 			}
 		}
-
-		for pkg := 1; pkg <= pk; pkg++ {
-			items := int64(f.PackageItems(s, pkg))
-			srcPeriod := periods[srcSeg]
-			// FU processing plus the source-segment transaction (an
-			// intra-segment transfer or the fill into the first BU).
-			latency := f.PackageTicks(s, nominal, pkg)*srcPeriod + (header+items)*srcPeriod
-			segTicks[srcSeg] += header + items
-			// CA circuit set-up, charged per hop on the CA clock.
-			latency += hops * int64(plat.CAHopTicks) * caPeriod
-			b.CASetupTicks += hops * int64(plat.CAHopTicks)
-			// One unload transaction per crossed BU, charged on the
-			// entered segment's bus and clock.
-			for _, bu := range route {
-				entered := bu.Right
-				if !rightward {
-					entered = bu.Left
+		if pk > 0 {
+			for _, run := range [...]struct{ pkg, n int }{{1, pk - 1}, {pk, 1}} {
+				n, ticks := int64(run.n), header+int64(f.PackageItems(s, run.pkg))
+				// FU processing plus the source-segment transaction (an
+				// intra-segment transfer or the fill into the first BU),
+				// and the CA circuit set-up per hop on the CA clock.
+				latency := (f.PackageTicks(s, nominal, run.pkg)+ticks)*periods[src-1] + hops*caHop*caPeriod
+				b.Segments[src-1].BusTicks += n * ticks
+				// One unload transaction per crossed BU, charged on the
+				// entered segment's bus and clock.
+				for _, bu := range route {
+					e := bu.Entered(rightward) - 1
+					b.Segments[e].BusTicks += n * ticks
+					latency += ticks * periods[e]
 				}
-				segTicks[entered] += header + items
-				latency += (header + items) * periods[entered]
+				b.CASetupTicks += n * hops * caHop
+				chain += n * latency
+				// Full-serialisation allowance: the package's isolated
+				// latency plus a clock-edge alignment per scheduling step
+				// (compute start, grant, per-hop CA grant and unload
+				// grant, delivery), each at most one period of the
+				// slowest clock.
+				upperWork += n * (latency + (4+3*hops)*maxPeriod)
 			}
-			chains[f.Order][f.Source] += latency
-			// Full-serialisation allowance: the package's isolated
-			// latency plus a clock-edge alignment per scheduling step
-			// (compute start, grant, per-hop CA grant and unload
-			// grant, delivery), each at most one period of the
-			// slowest clock.
-			upperWork += latency + (4+3*hops)*maxPeriod
+		}
+		last := i+1 == len(flows)
+		if last || flows[i+1].Order != f.Order || flows[i+1].Source != f.Source {
+			stageMax, chain = max(stageMax, chain), 0
+		}
+		if last || flows[i+1].Order != f.Order {
+			b.CriticalPathPs, stageMax = b.CriticalPathPs+stageMax, 0
 		}
 	}
 
-	sort.Ints(orders)
-	for _, t := range orders {
-		var stageMax int64
-		for _, total := range chains[t] {
-			if total > stageMax {
-				stageMax = total
-			}
-		}
-		b.CriticalPathPs += stageMax
+	for i := range b.Segments {
+		sl := &b.Segments[i]
+		sl.BusyPs = sl.BusTicks * periods[i]
+		b.BusLoadPs = max(b.BusLoadPs, sl.BusyPs)
 	}
-
-	for _, seg := range plat.Segments {
-		ticks := segTicks[seg.Index]
-		busy := ticks * periods[seg.Index]
-		b.Segments = append(b.Segments, SegmentLoad{Segment: seg.Index, BusTicks: ticks, BusyPs: busy})
-		if busy > b.BusLoadPs {
-			b.BusLoadPs = busy
-		}
-	}
-	b.LowerPs = b.CriticalPathPs
-	if b.BusLoadPs > b.LowerPs {
-		b.LowerPs = b.BusLoadPs
-	}
+	b.LowerPs = max(b.CriticalPathPs, b.BusLoadPs)
 	// End detection: the monitor adds DetectTicks CA ticks after the
 	// last activity, and every arbiter's tick total is rounded up to
 	// a full period.
 	b.UpperPs = upperWork + (emulator.DefaultDetectTicks+1)*caPeriod + maxPeriod
-
-	for _, name := range crossOrder {
-		b.Crossings = append(b.Crossings, *crossing[name])
-	}
 	return b
 }

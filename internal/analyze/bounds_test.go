@@ -1,10 +1,12 @@
 package analyze
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"segbus/internal/apps"
@@ -145,5 +147,114 @@ func TestComputeBoundsRejectsInvalidInputs(t *testing.T) {
 	partial.AddSegment(100*platform.MHz, 0, 1)
 	if _, err := ComputeBounds(m, partial); err == nil {
 		t.Error("ComputeBounds accepted an incomplete mapping")
+	}
+}
+
+// chain is the two-flow chain P0→P1→P2 at package size 1, items per
+// flow: P0 and P1 on segment 1, P2 on segment 2, both clocked at
+// 90 MHz under a 100 MHz CA, header 2 and CA-hop 3 ticks. The first
+// flow stays on segment 1; the second crosses BU12 rightward.
+func chain(items int) (*psdf.Model, *platform.Platform) {
+	m := psdf.NewModel("chain")
+	m.AddFlow(psdf.Flow{Source: 0, Target: 1, Items: items, Order: 1, Ticks: 5})
+	m.AddFlow(psdf.Flow{Source: 1, Target: 2, Items: items, Order: 2, Ticks: 5})
+	plat := platform.New("chain", 100*platform.MHz, 1)
+	plat.HeaderTicks, plat.CAHopTicks = 2, 3
+	plat.AddSegment(90*platform.MHz, 0, 1)
+	plat.AddSegment(90*platform.MHz, 2)
+	return m, plat
+}
+
+// boundsSink keeps BenchmarkComputeBounds' calls from being optimised
+// away.
+var boundsSink *Bounds
+
+// BenchmarkComputeBounds measures ComputeBounds, admission included,
+// on the paper's three-segment MP3 pair at s=36 and on the two-flow
+// chain with 2·10⁷ items per flow at s=1 (4·10⁷ package transfers).
+func BenchmarkComputeBounds(b *testing.B) {
+	run := func(b *testing.B, m *psdf.Model, plat *platform.Platform) {
+		if _, err := ComputeBounds(m, plat); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			boundsSink, _ = ComputeBounds(m, plat)
+		}
+	}
+	b.Run("mp3", func(b *testing.B) {
+		run(b, apps.MP3Model(), apps.MP3Platform3(apps.MP3PackageSize))
+	})
+	b.Run("chain2e7", func(b *testing.B) {
+		m, plat := chain(2e7)
+		run(b, m, plat)
+	})
+}
+
+// TestComputeBoundsHostileSize runs the chain with 2³⁶ items per flow
+// at s=1, 2³⁷ package transfers that a package-by-package walk could
+// not finish, and checks the totals against hand-computed values.
+func TestComputeBoundsHostileSize(t *testing.T) {
+	const n = int64(1) << 36
+	m, plat := chain(int(n))
+	b, err := ComputeBounds(m, plat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		period = int64(11111) // 90 MHz
+		perPkg = 2 + 1        // header + one item
+	)
+	if b.TotalPackages != int(2*n) {
+		t.Errorf("TotalPackages = %d, want 2^37", b.TotalPackages)
+	}
+	// Segment 1 carries both flows' transactions (P0→P1 and the fill
+	// into BU12), segment 2 the unloads out of BU12.
+	wantSegs := []SegmentLoad{
+		{Segment: 1, BusTicks: 2 * n * perPkg, BusyPs: 2 * n * perPkg * period},
+		{Segment: 2, BusTicks: n * perPkg, BusyPs: n * perPkg * period},
+	}
+	if !reflect.DeepEqual(b.Segments, wantSegs) {
+		t.Errorf("Segments = %+v, want %+v", b.Segments, wantSegs)
+	}
+	if want := []BUCrossing{{Name: "BU12", Rightward: int(n)}}; !reflect.DeepEqual(b.Crossings, want) {
+		t.Errorf("Crossings = %+v, want %+v", b.Crossings, want)
+	}
+	if b.CASetupTicks != 3*n {
+		t.Errorf("CASetupTicks = %d, want %d", b.CASetupTicks, 3*n)
+	}
+	// Each package of P0→P1 costs 5 compute and 3 bus ticks; each of
+	// P1→P2 as much, one 3-tick CA hop at 10 ns and a 3-tick unload.
+	if want := n*8*period + n*(11*period+30000); b.CriticalPathPs != want {
+		t.Errorf("CriticalPathPs = %d, want %d", b.CriticalPathPs, want)
+	}
+	if b.LowerPs > b.UpperPs {
+		t.Errorf("LowerPs %d above UpperPs %d", b.LowerPs, b.UpperPs)
+	}
+}
+
+// TestClosedFormWrapsLikeWalk holds computeBounds to the per-package
+// walk on pairs whose int64 sums wrap: header, CA-hop and compute
+// ticks near 2⁶², scaled by a nominal package size, with ragged last
+// packages.
+func TestClosedFormWrapsLikeWalk(t *testing.T) {
+	for _, c := range []struct{ header, hop, ticks, nominal, items, s int }{
+		{1 << 62, 0, 5, 0, 4, 2},
+		{0, 1<<62 + 7, 5, 0, 9, 2},
+		{3, 3, 1<<62 - 1, 0, 11, 3},
+		{1 << 61, 1 << 60, 1<<62 + 1, 7, 23, 5},
+	} {
+		m, plat := chain(c.items)
+		m.SetNominalPackageSize(c.nominal)
+		for _, f := range m.Flows() {
+			m.AddFlow(psdf.Flow{Source: f.Target, Target: psdf.SystemOutput, Items: c.items, Order: f.Order + 10, Ticks: c.ticks})
+		}
+		plat.HeaderTicks, plat.CAHopTicks, plat.PackageSize = c.header, c.hop, c.s
+		got, _ := json.Marshal(computeBounds(m, plat))
+		want, _ := json.Marshal(oraclePerPackageBounds(m, plat))
+		if string(got) != string(want) {
+			t.Errorf("%+v:\nclosed form %s\nper-package %s", c, got, want)
+		}
 	}
 }

@@ -100,12 +100,8 @@ func hotContributors(pass *Pass, buName string) []string {
 	s := plat.PackageSize
 	contrib := make(map[psdf.ProcessID]int)
 	for _, f := range m.Flows() {
-		srcSeg := plat.SegmentOf(f.Source)
-		dstSeg := srcSeg
-		if f.Target != psdf.SystemOutput {
-			dstSeg = plat.SegmentOf(f.Target)
-		}
-		route, _ := plat.Route(srcSeg, dstSeg)
+		src, dst, _ := plat.FlowSegments(f)
+		route, _ := plat.Route(src, dst)
 		for _, bu := range route {
 			if bu.Name() != buName {
 				continue

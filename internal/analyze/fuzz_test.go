@@ -12,9 +12,11 @@ import (
 // both renderings. The properties: analysis never panics, whatever the
 // model looks like — broken platforms, cycles, isolated processes —
 // and every consumer of the shared admission agrees with the gate it
-// had of its own (CheckAgreement). Documents whose package count
-// exceeds maxFuzzPackages are skipped: the bounds walk every package,
-// so a fuzzed item count would otherwise stall the target.
+// had of its own (CheckAgreement), the closed-form bounds with the
+// per-package walk byte for byte among them (SameBounds). Documents
+// whose package count exceeds maxFuzzPackages are skipped: that walk
+// visits every package, so a fuzzed item count would otherwise stall
+// the target.
 func FuzzAnalyze(f *testing.F) {
 	f.Add("application empty\n")
 	// A cyclic same-stage flow pair (provable deadlock, SB101).

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"strings"
 
-	"segbus/internal/platform"
 	"segbus/internal/psdf"
 	"segbus/internal/sched"
 )
@@ -118,12 +117,8 @@ func Generate(p *sched.Pair) (*Program, error) {
 	for si, st := range s.Stages() {
 		for _, id := range st.Flows {
 			f := s.Flow(id)
-			src := plat.SegmentOf(f.Source)
-			dst := src
-			if f.Target != psdf.SystemOutput {
-				dst = plat.SegmentOf(f.Target)
-			}
-			route, _ := plat.Route(src, dst)
+			src, dst, _ := plat.FlowSegments(f)
+			route, rightward := plat.Route(src, dst)
 			for pkg := 1; pkg <= s.Packages(id); pkg++ {
 				if src == dst {
 					saOf[src].Grants = append(saOf[src].Grants, Grant{
@@ -142,7 +137,7 @@ func Generate(p *sched.Pair) (*Program, error) {
 					ToBU: route[0].Name(), ToSlave: f.Target,
 				})
 				for hop, bu := range route {
-					nextSeg := towardsNext(src, dst, bu)
+					nextSeg := bu.Entered(rightward)
 					g := Grant{
 						Kind: GrantForward, Stage: si, Order: st.Order,
 						Flow: f, Package: pkg, FromBU: bu.Name(), ToSlave: f.Target,
@@ -158,16 +153,6 @@ func Generate(p *sched.Pair) (*Program, error) {
 		}
 	}
 	return prog, nil
-}
-
-// towardsNext returns the segment a package leaving bu heads into when
-// travelling from src to dst: the bridge's right side on a rightward
-// journey, its left side otherwise.
-func towardsNext(src, dst int, bu platform.BU) int {
-	if src < dst {
-		return bu.Right
-	}
-	return bu.Left
 }
 
 // Listing renders the program as a human-readable schedule: one block

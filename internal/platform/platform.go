@@ -121,6 +121,15 @@ type BU struct {
 // unit between segments 1 and 2.
 func (b BU) Name() string { return fmt.Sprintf("BU%d%d", b.Left, b.Right) }
 
+// Entered returns the segment a package crossing the unit enters: its
+// right side on a rightward route, its left side otherwise.
+func (b BU) Entered(rightward bool) int {
+	if rightward {
+		return b.Right
+	}
+	return b.Left
+}
+
 // Platform is a complete SegBus platform instance: an ordered list of
 // segments in a linear topology, one central arbiter, and one border
 // unit between each pair of adjacent segments. PackageSize is the
@@ -200,6 +209,23 @@ func (p *Platform) SegmentOf(proc psdf.ProcessID) int {
 		}
 	}
 	return 0
+}
+
+// FlowSegments returns the segment hosting flow f's source and the one
+// its packages are delivered on: the target's, or the source's own for
+// a flow to the system output. ok is false when either is not a
+// segment of the platform (an unhosted endpoint), the pairs Route
+// refuses; a pair that passes ValidateMapping is always ok. Every
+// static consumer (bounds, congestion, power, codegen) routes its
+// flows through here.
+func (p *Platform) FlowSegments(f psdf.Flow) (src, dst int, ok bool) {
+	src = p.SegmentOf(f.Source)
+	dst = src
+	if f.Target != psdf.SystemOutput {
+		dst = p.SegmentOf(f.Target)
+	}
+	n := len(p.Segments)
+	return src, dst, src >= 1 && src <= n && dst >= 1 && dst <= n
 }
 
 // Processes returns all hosted processes in ascending order.

@@ -143,6 +143,31 @@ func TestRoute(t *testing.T) {
 	}
 }
 
+func TestFlowSegments(t *testing.T) {
+	p := buildPlatform()
+	for _, c := range []struct {
+		src, tgt         psdf.ProcessID
+		wantSrc, wantDst int
+		wantOK           bool
+	}{
+		{0, 1, 1, 1, true},
+		{0, 5, 1, 3, true},
+		{5, 3, 3, 2, true},
+		{4, psdf.SystemOutput, 2, 2, true},
+		{9, 1, 0, 1, false},
+		{0, 9, 1, 0, false},
+	} {
+		f := psdf.Flow{Source: c.src, Target: c.tgt, Items: 1}
+		src, dst, ok := p.FlowSegments(f)
+		if src != c.wantSrc || dst != c.wantDst || ok != c.wantOK {
+			t.Errorf("FlowSegments(%v) = %d, %d, %v; want %d, %d, %v", f, src, dst, ok, c.wantSrc, c.wantDst, c.wantOK)
+		}
+	}
+	if bu := (BU{Left: 1, Right: 2}); bu.Entered(true) != 2 || bu.Entered(false) != 1 {
+		t.Errorf("BU12 enters %d rightward, %d leftward; want 2, 1", bu.Entered(true), bu.Entered(false))
+	}
+}
+
 func TestRoutePanicsOutOfRange(t *testing.T) {
 	p := buildPlatform()
 	defer func() {

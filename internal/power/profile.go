@@ -1,6 +1,8 @@
 package power
 
 import (
+	"fmt"
+
 	"segbus/internal/platform"
 	"segbus/internal/psdf"
 	"segbus/internal/sched"
@@ -31,7 +33,9 @@ func NewProfile(m *psdf.Model, plat *platform.Platform, params Params) (*Profile
 }
 
 // ProfileOf extracts the activity profile of a pair from its schedule;
-// it applies none of the pair's admission checks. The Params fix the
+// it applies none of the pair's admission checks, but refuses a flow
+// whose source or target no segment hosts (platform.FlowSegments), as
+// on a model paired with another model's platform. The Params fix the
 // coefficients the bounds and Estimate price with (zero selects
 // DefaultParams).
 func ProfileOf(p *sched.Pair, params Params) (*Profile, error) {
@@ -53,23 +57,18 @@ func ProfileOf(p *sched.Pair, params Params) (*Profile, error) {
 	nominal := m.NominalPackageSize()
 	for i := range s.Flows() {
 		f := s.Flow(sched.FlowID(i))
-		src := plat.SegmentOf(f.Source)
-		dst := src
-		if f.Target != psdf.SystemOutput {
-			dst = plat.SegmentOf(f.Target)
+		src, dst, ok := plat.FlowSegments(f)
+		if !ok {
+			return nil, fmt.Errorf("power: flow %s has an endpoint on no segment of platform %q", f, plat.Name)
 		}
 		// Identical attribution to Estimate: every item occupies the
 		// bus of every segment on its route, and crosses every BU on
 		// the route once (the emulator's BU load ticks count exactly
 		// one tick per item loaded, which TestProfileMatchesRun pins).
-		route, _ := plat.Route(src, dst)
+		route, rightward := plat.Route(src, dst)
 		pf.busItems[src] += int64(f.Items)
 		for _, bu := range route {
-			next := bu.Left
-			if src < dst {
-				next = bu.Right
-			}
-			pf.busItems[next] += int64(f.Items)
+			pf.busItems[bu.Entered(rightward)] += int64(f.Items)
 			pf.buItems[bu.Left] += int64(f.Items)
 		}
 		pkgs := s.Packages(sched.FlowID(i))

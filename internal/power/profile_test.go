@@ -103,3 +103,20 @@ func TestLowerBoundNeverExceedsEstimate(t *testing.T) {
 		}
 	}
 }
+
+// TestProfileRefusesUnhostedEndpoint pins the crossed-pair refusal: a
+// six-process pipeline on a platform hosting only P0..P3 is an error
+// from NewProfile and Estimate, not a panic in the route walk.
+func TestProfileRefusesUnhostedEndpoint(t *testing.T) {
+	m := apps.Pipeline(6, 36, 16)
+	plat := platform.New("short", 100*platform.MHz, 36)
+	plat.AddSegment(100*platform.MHz, 0, 1)
+	plat.AddSegment(100*platform.MHz, 2, 3)
+	const want = `power: flow P3->P4{D=36 T=4 C=16} has an endpoint on no segment of platform "short"`
+	if _, err := NewProfile(m, plat, Params{}); err == nil || err.Error() != want {
+		t.Errorf("NewProfile: error %v, want %q", err, want)
+	}
+	if _, err := Estimate(m, plat, &emulator.Report{}, Params{}); err == nil || err.Error() != want {
+		t.Errorf("Estimate: error %v, want %q", err, want)
+	}
+}
