@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -161,6 +162,33 @@ func keyCorpus(tb testing.TB) (pairs []keyPair, served int) {
 		keyPair{"mp3 2seg", apps.MP3Model(), apps.MP3Platform2(36)},
 		keyPair{"jpeg", apps.JPEGModel(), apps.JPEGPlatform3(64)})
 	return pairs, len(docs)
+}
+
+// TestKeySurvivesRoundTrip: rendering a pair and parsing the schemes
+// back yields a pair of the same key, for the in-memory reference pairs
+// and every scenario and deadlock pair — the parsed model keeps the
+// application type name the rendering carries. A model with a flow to
+// the system output renders a flow name the parser refuses, so it has
+// no round trip to check.
+func TestKeySurvivesRoundTrip(t *testing.T) {
+	pairs := append(scenarioPairs(t),
+		keyPair{"mp3 in memory", apps.MP3Model(), apps.MP3Platform3(36)},
+		keyPair{"jpeg", apps.JPEGModel(), apps.JPEGPlatform3(64)})
+	checked := 0
+	for _, p := range pairs {
+		if slices.ContainsFunc(p.m.Flows(), func(f psdf.Flow) bool { return f.Target == psdf.SystemOutput }) {
+			continue
+		}
+		checked++
+		r := render(t, p)
+		back := parsePair(t, p.name+" re-parsed", []byte(r.psdf), []byte(r.psm))
+		if got, want := mustKey(t, back, core.Options{}), mustKey(t, p, core.Options{}); got != want {
+			t.Errorf("%s: re-parsed key %s, in-memory key %s", p.name, got, want)
+		}
+	}
+	if checked < len(pairs)-1 {
+		t.Errorf("only %d of %d pairs round-trip", checked, len(pairs))
+	}
 }
 
 // TestKeyMatchesRendering is the differential oracle: across 200

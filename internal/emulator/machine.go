@@ -21,10 +21,10 @@ func Run(m *psdf.Model, plat *platform.Platform, cfg Config) (*Report, error) {
 }
 
 // Machine is a reusable emulation arena. A Machine owns the flat
-// element-state arrays, the event kernel and the bound handlers of one
-// emulation instance; running a model primes those arrays in place, so
-// a warm Machine emulates without rebuilding per-element storage or
-// closures. The zero value is not usable; construct with NewMachine.
+// element-state arrays and the event kernel of one emulation instance;
+// running a model primes those arrays in place, so a warm Machine
+// emulates without rebuilding per-element storage. The zero value is
+// not usable; construct with NewMachine.
 //
 // A Machine is not safe for concurrent use: one emulation at a time.
 // Reuse across runs is exact — a report produced by a warm Machine is
@@ -115,13 +115,35 @@ type emitEntry struct {
 	pkg  int // 1-based package index within the flow
 }
 
-// Element state lives in parallel flat slices — static configuration,
-// dynamic run state and bound handlers — rather than one heap node per
-// element. The split keeps the per-run mutable state contiguous and
-// trivially zeroable (reset is a memclr sweep, not a pointer chase),
-// and the handlers capture (machine, index) pairs instead of element
-// pointers, so the arrays may be reallocated on growth without
-// invalidating a single closure.
+// Element state lives in parallel flat slices — static configuration
+// and dynamic run state — rather than one heap node per element. The
+// split keeps the per-run mutable state contiguous and trivially
+// zeroable (reset is a memclr sweep, not a pointer chase). Events are
+// typed (kind, element index) pairs, never closures: the kernel queues
+// them, bus requests and buffer waiters hold them, and Fire switches
+// on the kind, so the arrays may be reallocated on growth without
+// invalidating anything that refers to an element.
+
+// Event kinds. FU kinds index an FU slot, buffer kinds a border-unit
+// buffer slot and evPump a segment (0-based).
+const (
+	evComputeDone engine.Kind = iota // FU: compute finished, raise the bus request
+	evIntraGrant                     // FU: intra-segment transfer granted
+	evIntraEnd                       // FU: intra-segment transfer completed
+	evFillAttempt                    // FU: first-hop buffer free, reserve it and request the fill
+	evFillGrant                      // FU: first-hop fill granted
+	evFillEnd                        // FU: first-hop fill completed
+	evPump                           // segment: the SA's arbitration step
+	evBufFull                        // buffer: loaded, arrange the next hop
+	evForward                        // buffer: forward buffer free, reserve it and queue the unload
+	evUnloadGrant                    // buffer: unload granted on the next segment
+	evUnloadEnd                      // buffer: unload completed
+)
+
+// event returns the typed event of kind k on element i.
+func event(k engine.Kind, i int) engine.Event {
+	return engine.Event{Kind: k, Index: int32(i)}
+}
 
 // fuStatic is the per-prime configuration of one functional unit (one
 // hosted process). flows keeps its capacity across primes.
@@ -146,36 +168,46 @@ type fuDyn struct {
 	lastRecv engine.Time
 
 	// In-flight emission context. An FU has at most one emission in
-	// flight (busy gates advanceFU until deliver), so the bound
-	// handlers read these fields at fire time instead of capturing
-	// them — one closure set per FU slot for the machine's lifetime
-	// rather than one per scheduled event. All three are only read
-	// between requestTransfer setting them and the transfer
-	// completing, so stale values after a reset are never observed.
-	pending  emitEntry
-	xferBuf  int // reserved first-hop buffer index (inter-segment only)
-	xferDst  int // destination segment of the in-flight emission
-	xferHops int // CA chain hops of the in-flight emission
+	// flight (busy gates advanceFU until deliver), so its events carry
+	// only the FU index and read these fields at fire time. Both are
+	// only read between advanceFU (pending) or requestTransfer
+	// (xferBuf) setting them and the transfer completing, so stale
+	// values after a reset are never observed.
+	pending emitEntry
+	xferBuf int // reserved first-hop buffer index (inter-segment only)
 }
 
-// fuHooks are the bound event handlers of one FU slot, built once when
-// the arena first grows to cover the slot.
-type fuHooks struct {
-	computeDone engine.Handler    // compute finished: raise the bus request
-	attempt     func(engine.Time) // first-hop buffer free: reserve it and request the fill
-	intraRun    func(engine.Time) // intra-segment transfer granted
-	fillRun     func(engine.Time) // first-hop fill granted
-	intraEnd    engine.Handler    // intra-segment transfer completed
-	fillEnd     engine.Handler    // first-hop fill completed
-}
-
-// flowRoute is the per-prime route of one flow: the FU slots of its
+// flowPlan is the per-prime plan of one flow: the FU slots of its
 // source and target (tgt is -1 for SystemOutput), the segment its
-// packages are delivered on and the CA chain hops between the source's
-// segment and that one.
-type flowRoute struct {
+// packages are delivered on, the CA chain hops between the source's
+// segment and that one, and its package costs. Every package but the
+// last carries s items and costs the same, so the per-package path
+// picks one of two precomputed (ticks, items) pairs instead of
+// dividing.
+type flowPlan struct {
 	src, tgt  int
 	dst, hops int
+	packages  int
+	fullTicks int64 // processing ticks of a full package
+	lastTicks int64 // processing ticks of the last package
+	fullItems int   // items of a full package (s)
+	lastItems int   // items of the last, possibly partial, package
+}
+
+// ticks returns the processing ticks of package pkg (1-based).
+func (p *flowPlan) ticks(pkg int) int64 {
+	if pkg == p.packages {
+		return p.lastTicks
+	}
+	return p.fullTicks
+}
+
+// items returns the data items package pkg (1-based) carries.
+func (p *flowPlan) items(pkg int) int {
+	if pkg == p.packages {
+		return p.lastItems
+	}
+	return p.fullItems
 }
 
 // busReq is one pending request for a segment bus. Requests are queued
@@ -186,7 +218,7 @@ type busReq struct {
 	prio int         // 0: border-unit unload, 1: master
 	id   int         // requester identity for deterministic tie-breaks
 	seq  uint64
-	run  func(grantAt engine.Time)
+	ev   engine.Event // fired when the request is granted
 }
 
 // reqLess orders two eligible requests under the configured policy.
@@ -264,7 +296,7 @@ type bufStatic struct {
 
 // bufDyn is the per-run state of one border-unit buffer direction: a
 // depth-one FIFO. The zero value is the post-prime state. forward and
-// dataStartPs are in-flight package context for the bound handlers —
+// dataStartPs are in-flight package context for the buffer's events —
 // the forward buffer chosen for the current package (-1: deliver onto
 // nextSeg) and the unload data-phase start, recorded at grant time for
 // the forward-load trace interval; depth-one buffering makes both
@@ -276,14 +308,6 @@ type bufDyn struct {
 	pkg         transitPkg
 	forward     int
 	dataStartPs engine.Time
-}
-
-// bufHooks are the bound event handlers of one buffer slot.
-type bufHooks struct {
-	startFn    engine.Handler    // buffer full: arrange the next hop
-	fwdAttempt func(engine.Time) // forward buffer free: reserve it and queue the unload
-	unloadRun  func(engine.Time) // unload granted on the next segment
-	unloadEnd  engine.Handler    // unload completed
 }
 
 // buStats collects the monitoring counters of one border unit (both
@@ -301,38 +325,31 @@ type buStats struct {
 }
 
 // machine is one emulation arena. Every slice below is either per-prime
-// configuration sized by prime, per-run state zeroed by reset, or a
-// bound-handler array that only ever grows (handlers capture slot
-// indices, never element pointers, so they survive both growth and
-// re-priming with a different model).
+// configuration sized by prime or per-run state zeroed by reset.
 type machine struct {
-	cfg     Config
-	plat    *platform.Platform
-	sch     *sched.Schedule
-	sim     *engine.Sim
-	s       int   // package size
-	nominal int   // C-value calibration package size (0: per-package C)
-	header  int64 // per-package protocol ticks
+	cfg    Config
+	plat   *platform.Platform
+	sch    *sched.Schedule
+	sim    *engine.Sim
+	s      int   // package size
+	header int64 // per-package protocol ticks
 
 	caClock engine.Clock
 
 	fuStat []fuStatic
 	fuDyn  []fuDyn
-	fuHook []fuHooks // len only grows; active prefix is len(fuStat)
 
-	route []flowRoute // indexed by sched.FlowID
+	plan []flowPlan // indexed by sched.FlowID
 
 	segStat []segStatic // index 0 = segment 1
 	segDyn  []segDyn
-	segReq  [][]busReq       // per-segment pending requests
-	segPump []engine.Handler // len only grows; the SA's arbitration step
+	segReq  [][]busReq // per-segment pending requests
 
 	// Border-unit buffers, two directions per unit, indexed
 	// (BU.Left-1)*2 for rightward and (BU.Left-1)*2+1 for leftward.
 	bufStat []bufStatic
 	bufDyn  []bufDyn
-	bufWait [][]func(engine.Time)
-	bufHook []bufHooks // len only grows
+	bufWait [][]engine.Event // per-buffer waiters, fired when it frees
 
 	busSt []buStats // index 0 = BU.Left 1
 
@@ -425,7 +442,6 @@ func (mc *machine) prime(plat *platform.Platform, sch *sched.Schedule, nominal i
 	mc.plat = plat
 	mc.sch = sch
 	mc.s = plat.PackageSize
-	mc.nominal = nominal
 	mc.header = int64(plat.HeaderTicks)
 	mc.caClock = engine.NewClock(plat.CAClock.PeriodPs())
 
@@ -447,10 +463,6 @@ func (mc *machine) prime(plat *platform.Platform, sch *sched.Schedule, nominal i
 		mc.segStat[i] = segStatic{index: seg.Index, clock: engine.NewClock(seg.Clock.PeriodPs())}
 		mc.segDyn[i] = segDyn{}
 		mc.segReq[i] = mc.segReq[i][:0]
-	}
-	for len(mc.segPump) < nSeg {
-		i := len(mc.segPump)
-		mc.segPump = append(mc.segPump, func(now engine.Time) { mc.pumpSegment(i, now) })
 	}
 
 	// Border units: stats per unit, one buffer slot per direction.
@@ -483,9 +495,6 @@ func (mc *machine) prime(plat *platform.Platform, sch *sched.Schedule, nominal i
 			mc.bufWait[b] = mc.bufWait[b][:0]
 		}
 	}
-	for len(mc.bufHook) < nBuf {
-		mc.bindBuffer(len(mc.bufHook))
-	}
 
 	// One FU per hosted process, sorted by process id.
 	nFU := 0
@@ -506,21 +515,18 @@ func (mc *machine) prime(plat *platform.Platform, sch *sched.Schedule, nominal i
 		}
 	}
 	sortFUs(mc.fuStat)
-	for len(mc.fuHook) < nFU {
-		mc.bindFU(len(mc.fuHook))
-	}
 
-	// Route every flow once, so the per-package paths index a table
-	// instead of searching the platform. Each FU emits its flows'
-	// packages in canonical flow order; the schedule's per-order gate
-	// interleaves same-order pipelines.
-	mc.route = grown(mc.route, sch.NumFlows())
+	// Plan every flow once, so the per-package paths index a table
+	// instead of searching the platform or dividing. Each FU emits its
+	// flows' packages in canonical flow order; the schedule's per-order
+	// gate interleaves same-order pipelines.
+	mc.plan = grown(mc.plan, sch.NumFlows())
 	for i, f := range sch.Flows() {
 		src, ok := fuSlot(mc.fuStat, f.Source)
 		if !ok {
 			return fmt.Errorf("emulator: flow %v source not hosted", f)
 		}
-		r := flowRoute{src: src, tgt: -1, dst: mc.fuStat[src].seg}
+		r := flowPlan{src: src, tgt: -1, dst: mc.fuStat[src].seg, packages: sch.Packages(sched.FlowID(i))}
 		if f.Target != psdf.SystemOutput {
 			if r.tgt, ok = fuSlot(mc.fuStat, f.Target); !ok {
 				return fmt.Errorf("emulator: flow %v target not hosted", f)
@@ -528,10 +534,12 @@ func (mc *machine) prime(plat *platform.Platform, sch *sched.Schedule, nominal i
 			r.dst = mc.fuStat[r.tgt].seg
 		}
 		r.hops = plat.Hops(mc.fuStat[src].seg, r.dst)
-		mc.route[i] = r
-		if sch.Packages(sched.FlowID(i)) > 0 {
+		if pk := r.packages; pk > 0 {
+			r.fullTicks, r.fullItems = f.PackageTicks(mc.s, nominal, 1), f.PackageItems(mc.s, 1)
+			r.lastTicks, r.lastItems = f.PackageTicks(mc.s, nominal, pk), f.PackageItems(mc.s, pk)
 			mc.fuStat[src].flows = append(mc.fuStat[src].flows, sched.FlowID(i))
 		}
+		mc.plan[i] = r
 	}
 
 	// Stage accounting.
@@ -591,72 +599,37 @@ func (mc *machine) resetStages() {
 	}
 }
 
-// bindFU builds the bound event handlers of FU slot i and appends them
-// to the hook array. The closures capture only (mc, i): they read the
-// slot's state at fire time, so they survive arena growth and
-// re-priming with a different model.
-func (mc *machine) bindFU(i int) {
-	mc.fuHook = append(mc.fuHook, fuHooks{
-		computeDone: func(t engine.Time) { mc.requestTransfer(i, t) },
-		intraRun: func(grantAt engine.Time) {
-			mc.runIntra(i, grantAt)
-		},
-		fillRun: func(grantAt engine.Time) {
-			mc.runFill(i, grantAt)
-		},
-		attempt: func(t engine.Time) {
-			st, d := &mc.fuStat[i], &mc.fuDyn[i]
-			mc.bufDyn[d.xferBuf].reserved = true
-			grantT := mc.caGrant(t)
-			if mc.plat.CAHopTicks > 0 {
-				setup := mc.caClock.NextEdge(grantT) + mc.caClock.Ticks(int64(d.xferHops*mc.plat.CAHopTicks))
-				if mc.cfg.Trace.Enabled() {
-					mc.cfg.Trace.AddInterval("CA", traceOverhead, int64(grantT), int64(setup),
-						fmt.Sprintf("chain setup %d->%d", st.seg, d.xferDst))
-				}
-				grantT = setup
-			}
-			mc.pushRequest(st.seg-1, busReq{at: grantT, prio: 1, id: int(st.proc)}, mc.fuHook[i].fillRun)
-		},
-		intraEnd: func(now engine.Time) {
-			st, d := &mc.fuStat[i], &mc.fuDyn[i]
-			e := d.pending
-			d.sent++
-			mc.deliver(e.flow, e.pkg, now)
-			mc.pumpSegment(st.seg-1, now)
-		},
-		fillEnd: func(now engine.Time) { mc.finishFill(i, now) },
-	})
-}
-
-// bindBuffer builds the bound event handlers of buffer slot b and
-// appends them to the hook array.
-func (mc *machine) bindBuffer(b int) {
-	mc.bufHook = append(mc.bufHook, bufHooks{
-		startFn: func(now engine.Time) {
-			st, d := &mc.bufStat[b], &mc.bufDyn[b]
-			if st.nextSeg == d.pkg.dstSeg {
-				d.forward = -1
-				mc.queueUnload(b, now)
-				return
-			}
-			if mc.bufFree(st.next) {
-				mc.bufHook[b].fwdAttempt(now)
-			} else {
-				mc.bufWait[st.next] = append(mc.bufWait[st.next], mc.bufHook[b].fwdAttempt)
-			}
-		},
-		fwdAttempt: func(now engine.Time) {
-			st, d := &mc.bufStat[b], &mc.bufDyn[b]
-			mc.bufDyn[st.next].reserved = true
-			d.forward = st.next
-			mc.queueUnload(b, now)
-		},
-		unloadRun: func(grantAt engine.Time) {
-			mc.runUnload(b, grantAt)
-		},
-		unloadEnd: func(now engine.Time) { mc.finishUnload(b, now) },
-	})
+// Fire is the machine's event dispatcher: the kernel fires every
+// scheduled event through it, and a granted bus request or a served
+// buffer waiter is fired through it too.
+func (mc *machine) Fire(now engine.Time, ev engine.Event) {
+	i := int(ev.Index)
+	switch ev.Kind {
+	case evComputeDone:
+		mc.requestTransfer(i, now)
+	case evIntraGrant:
+		mc.runIntra(i, now)
+	case evIntraEnd:
+		mc.finishIntra(i, now)
+	case evFillAttempt:
+		mc.attemptFill(i, now)
+	case evFillGrant:
+		mc.runFill(i, now)
+	case evFillEnd:
+		mc.finishFill(i, now)
+	case evPump:
+		mc.pumpSegment(i, now)
+	case evBufFull:
+		mc.arrangeHop(i, now)
+	case evForward:
+		mc.forward(i, now)
+	case evUnloadGrant:
+		mc.runUnload(i, now)
+	case evUnloadEnd:
+		mc.finishUnload(i, now)
+	default:
+		panic(fmt.Sprintf("emulator: unknown event kind %d", ev.Kind))
+	}
 }
 
 func (mc *machine) bufFree(b int) bool {
@@ -690,7 +663,7 @@ func (mc *machine) run() (*Report, error) {
 	if mc.met.enabled {
 		wallStart = time.Now()
 	}
-	end, err := mc.sim.Run()
+	end, err := mc.sim.Run(mc)
 	if err != nil {
 		return nil, err
 	}
@@ -736,9 +709,10 @@ func (mc *machine) advanceFU(i int, now engine.Time) {
 	if !ok || mc.sch.StageOf(e.flow) != mc.stage || d.received < mc.sch.Need(e.flow, e.pkg) {
 		return
 	}
+	r := &mc.plan[e.flow]
 	d.busy = true
 	d.nextPkg++
-	if d.nextPkg == mc.sch.Packages(e.flow) {
+	if d.nextPkg == r.packages {
 		d.nextFlow++
 		d.nextPkg = 0
 	}
@@ -748,14 +722,14 @@ func (mc *machine) advanceFU(i int, now engine.Time) {
 		d.started = true
 		d.startPs = start
 	}
-	compEnd := start + clock.Ticks(mc.sch.Flow(e.flow).PackageTicks(mc.s, mc.nominal, e.pkg))
+	compEnd := start + clock.Ticks(r.ticks(e.pkg))
 	if mc.cfg.Trace.Enabled() {
 		f := mc.sch.Flow(e.flow)
 		mc.cfg.Trace.AddInterval(st.proc.String(), traceCompute, int64(start), int64(compEnd),
-			fmt.Sprintf("%s pkg %d/%d", flowLabel(f), e.pkg, mc.sch.Packages(e.flow)))
+			fmt.Sprintf("%s pkg %d/%d", flowLabel(f), e.pkg, r.packages))
 	}
 	d.pending = e
-	mc.sim.At(compEnd, prioCompute, mc.fuHook[i].computeDone)
+	mc.sim.At(compEnd, prioCompute, event(evComputeDone, i))
 }
 
 func flowLabel(f psdf.Flow) string {
@@ -767,25 +741,39 @@ func flowLabel(f psdf.Flow) string {
 // the border-unit chain otherwise.
 func (mc *machine) requestTransfer(i int, now engine.Time) {
 	st, d := &mc.fuStat[i], &mc.fuDyn[i]
-	r := &mc.route[d.pending.flow]
-	src, dst := st.seg, r.dst
+	src, dst := st.seg, mc.plan[d.pending.flow].dst
 	if src == dst {
 		mc.segDyn[src-1].intraReq++
-		mc.pushRequest(src-1, busReq{at: now, prio: 1, id: int(st.proc)}, mc.fuHook[i].intraRun)
+		mc.pushRequest(src-1, busReq{at: now, prio: 1, id: int(st.proc), ev: event(evIntraGrant, i)})
 		return
 	}
 
 	mc.segDyn[src-1].interReq++
-	rightward := dst > src
-	d.xferDst = dst
-	d.xferHops = r.hops
-	buf := mc.firstBuffer(src, rightward)
+	buf := mc.firstBuffer(src, dst > src)
 	d.xferBuf = buf
 	if mc.bufFree(buf) {
-		mc.fuHook[i].attempt(now)
+		mc.attemptFill(i, now)
 	} else {
-		mc.bufWait[buf] = append(mc.bufWait[buf], mc.fuHook[i].attempt)
+		mc.bufWait[buf] = append(mc.bufWait[buf], event(evFillAttempt, i))
 	}
+}
+
+// attemptFill reserves FU i's free first-hop buffer, charges the CA
+// grant and chain setup, and requests the fill on the FU's segment.
+func (mc *machine) attemptFill(i int, t engine.Time) {
+	st, d := &mc.fuStat[i], &mc.fuDyn[i]
+	mc.bufDyn[d.xferBuf].reserved = true
+	grantT := mc.caGrant(t)
+	if mc.plat.CAHopTicks > 0 {
+		r := &mc.plan[d.pending.flow]
+		setup := mc.caClock.NextEdge(grantT) + mc.caClock.Ticks(int64(r.hops*mc.plat.CAHopTicks))
+		if mc.cfg.Trace.Enabled() {
+			mc.cfg.Trace.AddInterval("CA", traceOverhead, int64(grantT), int64(setup),
+				fmt.Sprintf("chain setup %d->%d", st.seg, r.dst))
+		}
+		grantT = setup
+	}
+	mc.pushRequest(st.seg-1, busReq{at: grantT, prio: 1, id: int(st.proc), ev: event(evFillGrant, i)})
 }
 
 // firstBuffer returns the border-unit buffer slot a master on segment
@@ -828,16 +816,15 @@ func (mc *machine) caRelease(end engine.Time) {
 
 // pushRequest queues a bus request on segment si (0-based) and
 // schedules a grant decision.
-func (mc *machine) pushRequest(si int, r busReq, run func(engine.Time)) {
+func (mc *machine) pushRequest(si int, r busReq) {
 	r.seq = mc.reqSeq
 	mc.reqSeq++
-	r.run = run
 	mc.segReq[si] = append(mc.segReq[si], r)
 	mc.scheduleGrant(si, maxTime(r.at, mc.sim.Now()))
 }
 
 func (mc *machine) scheduleGrant(si int, at engine.Time) {
-	mc.sim.At(maxTime(at, mc.sim.Now()), prioGrant, mc.segPump[si])
+	mc.sim.At(maxTime(at, mc.sim.Now()), prioGrant, event(evPump, si))
 }
 
 // pumpSegment is the SA's arbitration step: when the bus is free it
@@ -879,7 +866,7 @@ func (mc *machine) pumpSegment(si int, now engine.Time) {
 	if mc.cfg.Observer != nil {
 		mc.cfg.Observer.TransferGranted(mc.segStat[si].index, int64(now))
 	}
-	r.run(now)
+	mc.Fire(now, r.ev)
 }
 
 // runIntra performs an intra-segment package transfer: the bus is
@@ -893,7 +880,7 @@ func (mc *machine) runIntra(i int, grantAt engine.Time) {
 	clock := mc.segStat[si].clock
 	start := clock.NextEdge(grantAt)
 	dataStart := start + clock.Ticks(mc.grantTicks()+mc.header)
-	end := dataStart + clock.Ticks(int64(mc.sch.Flow(e.flow).PackageItems(mc.s, e.pkg)))
+	end := dataStart + clock.Ticks(int64(mc.plan[e.flow].items(e.pkg)))
 	g.busyUntil = end
 	g.lastBusy = end
 	if mc.cfg.Trace.Enabled() {
@@ -901,7 +888,16 @@ func (mc *machine) runIntra(i int, grantAt engine.Time) {
 		mc.cfg.Trace.AddInterval(fmt.Sprintf("Segment %d", st.seg), traceTransfer, int64(start), int64(end),
 			fmt.Sprintf("%s pkg %d", flowLabel(f), e.pkg))
 	}
-	mc.sim.At(end, prioEffect, mc.fuHook[i].intraEnd)
+	mc.sim.At(end, prioEffect, event(evIntraEnd, i))
+}
+
+// finishIntra completes FU i's intra-segment transfer: the package is
+// delivered and the segment re-arbitrated.
+func (mc *machine) finishIntra(i int, now engine.Time) {
+	st, d := &mc.fuStat[i], &mc.fuDyn[i]
+	d.sent++
+	mc.deliver(d.pending.flow, d.pending.pkg, now)
+	mc.pumpSegment(st.seg-1, now)
 }
 
 // runFill performs the first hop of an inter-segment transfer: the
@@ -914,7 +910,7 @@ func (mc *machine) runFill(i int, grantAt engine.Time) {
 	g := &mc.segDyn[si]
 	clock := mc.segStat[si].clock
 	buf := &mc.bufStat[d.xferBuf]
-	items := mc.sch.Flow(e.flow).PackageItems(mc.s, e.pkg)
+	items := mc.plan[e.flow].items(e.pkg)
 	start := clock.NextEdge(grantAt)
 	dataStart := start + clock.Ticks(mc.grantTicks()+mc.header)
 	end := dataStart + clock.Ticks(int64(items))
@@ -927,12 +923,12 @@ func (mc *machine) runFill(i int, grantAt engine.Time) {
 		mc.cfg.Trace.AddInterval(buf.bu.Name(), traceBULoad, int64(dataStart), int64(end),
 			fmt.Sprintf("%s pkg %d", flowLabel(f), e.pkg))
 	}
-	mc.sim.At(end, prioEffect, mc.fuHook[i].fillEnd)
+	mc.sim.At(end, prioEffect, event(evFillEnd, i))
 }
 
-// finishFill is the bound fill-completed handler body: the package is
-// now sitting in the reserved border-unit buffer, the source segment
-// is released and the next hop is arranged.
+// finishFill completes FU i's first hop: the package is now sitting in
+// the reserved border-unit buffer, the source segment is released and
+// the next hop is arranged.
 func (mc *machine) finishFill(i int, now engine.Time) {
 	st, d := &mc.fuStat[i], &mc.fuDyn[i]
 	e := d.pending
@@ -941,13 +937,14 @@ func (mc *machine) finishFill(i int, now engine.Time) {
 	bd := &mc.bufDyn[b]
 	si := st.seg - 1
 	g := &mc.segDyn[si]
-	items := mc.sch.Flow(e.flow).PackageItems(mc.s, e.pkg)
+	r := &mc.plan[e.flow]
+	items := r.items(e.pkg)
 	bst := &mc.busSt[buf.bu.Left-1]
 	mc.caRelease(now)
 	fullAt := now + mc.segStat[si].clock.Ticks(mc.syncTicks())
 	bd.reserved = false
 	bd.occupied = true
-	bd.pkg = transitPkg{flow: e.flow, pkg: e.pkg, items: items, srcSeg: st.seg, dstSeg: d.xferDst, fullAt: fullAt}
+	bd.pkg = transitPkg{flow: e.flow, pkg: e.pkg, items: items, srcSeg: st.seg, dstSeg: r.dst, fullAt: fullAt}
 	bst.in++
 	bst.loadTicks += int64(items)
 	mc.met.buLoad[buf.bu.Left-1].Add(int64(items))
@@ -970,7 +967,32 @@ func (mc *machine) finishFill(i int, now engine.Time) {
 // delivery onto the destination segment, or a forward into the next
 // border unit of the route (which must first be free).
 func (mc *machine) startUnload(b int, t engine.Time) {
-	mc.sim.At(maxTime(t, mc.sim.Now()), prioCompute, mc.bufHook[b].startFn)
+	mc.sim.At(maxTime(t, mc.sim.Now()), prioCompute, event(evBufFull, b))
+}
+
+// arrangeHop routes loaded buffer b's package: onto its destination
+// segment, or into the next buffer of the chain once that one is free.
+func (mc *machine) arrangeHop(b int, now engine.Time) {
+	st, d := &mc.bufStat[b], &mc.bufDyn[b]
+	if st.nextSeg == d.pkg.dstSeg {
+		d.forward = -1
+		mc.queueUnload(b, now)
+		return
+	}
+	if mc.bufFree(st.next) {
+		mc.forward(b, now)
+	} else {
+		mc.bufWait[st.next] = append(mc.bufWait[st.next], event(evForward, b))
+	}
+}
+
+// forward reserves the next buffer of b's chain for b's package and
+// queues the unload into it.
+func (mc *machine) forward(b int, now engine.Time) {
+	st, d := &mc.bufStat[b], &mc.bufDyn[b]
+	mc.bufDyn[st.next].reserved = true
+	d.forward = st.next
+	mc.queueUnload(b, now)
 }
 
 // queueUnload raises the unload request on the buffer's next segment.
@@ -981,7 +1003,7 @@ func (mc *machine) queueUnload(b int, now engine.Time) {
 	st := &mc.bufStat[b]
 	ni := st.nextSeg - 1
 	mc.segDyn[ni].intraReq++
-	mc.pushRequest(ni, busReq{at: now, prio: 0, id: st.id}, mc.bufHook[b].unloadRun)
+	mc.pushRequest(ni, busReq{at: now, prio: 0, id: st.id, ev: event(evUnloadGrant, b)})
 }
 
 // runUnload performs one forwarding hop: the buffer's package crosses
@@ -1022,13 +1044,13 @@ func (mc *machine) runUnload(b int, grantAt engine.Time) {
 			fmt.Sprintf("%s pkg %d", flowLabel(f), pkg.pkg))
 	}
 	bd.dataStartPs = dataStart
-	mc.sim.At(end, prioEffect, mc.bufHook[b].unloadEnd)
+	mc.sim.At(end, prioEffect, event(evUnloadEnd, b))
 }
 
-// finishUnload is the bound unload-completed handler body: the
-// package has crossed onto the next segment — deliver it or load it
-// into the forward buffer, then hand the freed buffer to any waiter
-// and pump the segment.
+// finishUnload completes buffer b's unload: the package has crossed
+// onto the next segment — deliver it or load it into the forward
+// buffer, then hand the freed buffer to any waiter and pump the
+// segment.
 func (mc *machine) finishUnload(b int, now engine.Time) {
 	buf := &mc.bufStat[b]
 	bd := &mc.bufDyn[b]
@@ -1082,9 +1104,8 @@ func (mc *machine) serveWaiters(b int, now engine.Time) {
 	}
 	w := ws[0]
 	copy(ws, ws[1:])
-	ws[len(ws)-1] = nil
 	mc.bufWait[b] = ws[:len(ws)-1]
-	w(now)
+	mc.Fire(now, w)
 }
 
 // deliver completes one package: the target process's receive counter
@@ -1099,7 +1120,7 @@ func (mc *machine) deliver(id sched.FlowID, pkg int, now engine.Time) {
 		f := mc.sch.Flow(id)
 		mc.cfg.Observer.PackageDelivered(int(f.Source), int(f.Target), pkg, int64(now))
 	}
-	r := &mc.route[id]
+	r := &mc.plan[id]
 	sd := &mc.fuDyn[r.src]
 	sd.endPs = now
 	sd.busy = false

@@ -1,8 +1,8 @@
 // Package pool keeps warm emulator machines between runs so repeated
 // emulations skip per-run machine construction: a checkout returns a
-// machine whose flat element arrays, bound handlers, kernel slots and
-// queues are already sized for a similar platform shape, and
-// Machine.Run reconfigures it in place.
+// machine whose flat element arrays, kernel heap and queues are already
+// sized for a similar platform shape, and Machine.Run reconfigures it
+// in place.
 //
 // The pool began life inside internal/serve as the leader path's
 // construction-cost killer; it lives here so every repeated-emulation

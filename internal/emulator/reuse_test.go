@@ -205,11 +205,11 @@ func TestMachineResetAllocs(t *testing.T) {
 	}
 }
 
-// TestMachineWarmRunAllocs pins the construction-overhead win: a warm
-// machine re-running the MP3 estimation allocates well under half of
-// what a fresh machine spends per run (the flat arrays, bound
-// handlers, kernel slots and queues are all reused; what remains is
-// the schedule extraction and the report assembly).
+// TestMachineWarmRunAllocs pins the arena win: a warm machine, which
+// reuses its flat arrays, kernel heap and queues, allocates strictly
+// less per MP3 run than a fresh one (what remains is the schedule
+// extraction and the report assembly). TestFreshMachineRunAllocs pins
+// the fresh run's own count.
 func TestMachineWarmRunAllocs(t *testing.T) {
 	m, plat := apps.MP3Model(), apps.MP3Platform3(36)
 	fresh := testing.AllocsPerRun(10, func() {
@@ -226,7 +226,7 @@ func TestMachineWarmRunAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if warm*2 > fresh {
-		t.Errorf("warm run allocates %v, fresh %v — want warm < fresh/2", warm, fresh)
+	if warm >= fresh {
+		t.Errorf("warm run allocates %v, fresh %v — want warm < fresh", warm, fresh)
 	}
 }

@@ -1,92 +1,66 @@
 package engine
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+	"unsafe"
+)
+
+// chain is a dispatcher whose every event reschedules itself 7 ps
+// later until left reaches zero: a self-clocking element with no
+// closure anywhere.
+type chain struct {
+	s    *Sim
+	left int
+}
+
+func (c *chain) Fire(now Time, ev Event) {
+	if c.left--; c.left > 0 {
+		c.s.At(now+7, 0, ev)
+	}
+}
 
 // TestSteadyStateAllocs pins the kernel's zero-allocation guarantee:
-// once the heap and the slot pool have grown to the workload's
-// high-water mark, a self-rescheduling event chain runs without a
-// single heap allocation per dispatched event.
+// once the heap has grown to the workload's high-water mark, a
+// self-rescheduling event chain runs without a single heap allocation
+// per dispatched event.
 func TestSteadyStateAllocs(t *testing.T) {
 	s := NewSim()
-	var h Handler
-	h = func(now Time) { s.After(7, 0, h) }
-	s.At(0, 0, h)
-	if _, err := s.RunUntil(1_000); err != nil {
-		t.Fatal(err)
-	}
+	c := &chain{s: s}
 	var err error
-	allocs := testing.AllocsPerRun(100, func() {
-		_, err = s.RunUntil(s.Now() + 700)
-	})
+	window := func() {
+		c.left = 100
+		s.At(s.Now(), 0, Event{Kind: 1, Index: 3})
+		_, err = s.Run(c)
+	}
+	window() // warm the heap
+	allocs := testing.AllocsPerRun(100, window)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if allocs != 0 {
-		t.Errorf("steady-state After+dispatch allocates %v per window, want 0", allocs)
+		t.Errorf("steady-state At+dispatch allocates %v per window, want 0", allocs)
 	}
 }
 
-// TestCancelHeavyAllocs: cancellation is a generation bump, not an
-// allocation — a workload that schedules a burst, cancels half of it
-// and dispatches the rest stays allocation-free once warm.
-func TestCancelHeavyAllocs(t *testing.T) {
-	s := NewSim()
-	noop := Handler(func(Time) {})
-	ids := make([]EventID, 0, 64)
-	var err error
-	step := func() {
-		now := s.Now()
-		for i := 0; i < 64; i++ {
-			ids = append(ids, s.At(now+Time(1+i%17), i%3, noop))
-		}
-		for i, id := range ids {
-			if i%2 == 0 {
-				s.Cancel(id)
+// TestHeapEntryShape pins the queue's entry layout: at most 32 bytes
+// and no pointer, so sifts move plain values without write barriers.
+func TestHeapEntryShape(t *testing.T) {
+	if n := unsafe.Sizeof(heapEnt{}); n > 32 {
+		t.Errorf("heap entry is %d bytes, want <= 32", n)
+	}
+	var walk func(reflect.Type)
+	walk = func(ty reflect.Type) {
+		switch ty.Kind() {
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				walk(ty.Field(i).Type)
 			}
+		case reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64, reflect.Int,
+			reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uint:
+		default:
+			t.Errorf("heap entry holds a %v, want integers only", ty)
 		}
-		ids = ids[:0]
-		_, err = s.RunUntil(now + 20)
 	}
-	step() // warm the pool, the heap and the ids buffer
-	if err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(50, step)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if allocs != 0 {
-		t.Errorf("cancel-heavy workload allocates %v per round, want 0", allocs)
-	}
-	if s.Pending() != 0 {
-		t.Errorf("pending = %d after drain", s.Pending())
-	}
-}
-
-// TestStaleCancelDoesNotHitReusedSlot: an EventID kept across its
-// event's firing must not cancel the unrelated event that later
-// reuses the same pool slot — the generation check makes the stale
-// cancel a no-op.
-func TestStaleCancelDoesNotHitReusedSlot(t *testing.T) {
-	s := NewSim()
-	stale := s.At(10, 0, func(Time) {})
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	fired := false
-	fresh := s.At(20, 0, func(Time) { fired = true }) // reuses the freed slot
-	s.Cancel(stale)
-	if s.Pending() != 1 {
-		t.Fatalf("stale cancel removed a live event (pending = %d)", s.Pending())
-	}
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !fired {
-		t.Error("event on a reused slot did not fire after a stale cancel")
-	}
-	s.Cancel(fresh) // fired already: no-op
-	if s.Pending() != 0 {
-		t.Errorf("pending = %d", s.Pending())
-	}
+	walk(reflect.TypeOf(heapEnt{}))
 }

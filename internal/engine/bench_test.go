@@ -6,20 +6,18 @@ import "testing"
 // and dispatch chained events.
 func BenchmarkEventThroughput(b *testing.B) {
 	s := NewSim()
-	count := 0
-	var next Handler
-	next = func(now Time) {
-		count++
-		if count < b.N {
-			s.After(10, 0, next)
-		}
-	}
+	c := &chain{s: s, left: b.N}
 	b.ResetTimer()
-	s.At(0, 0, next)
-	if _, err := s.Run(); err != nil {
+	s.At(0, 0, Event{})
+	if _, err := s.Run(c); err != nil {
 		b.Fatal(err)
 	}
 }
+
+// noop fires nothing.
+type noop struct{}
+
+func (noop) Fire(Time, Event) {}
 
 // BenchmarkQueueChurn measures heap behaviour with many pending
 // events.
@@ -27,9 +25,9 @@ func BenchmarkQueueChurn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := NewSim()
 		for j := 0; j < 1024; j++ {
-			s.At(Time((j*37)%1024), j%3, func(Time) {})
+			s.At(Time((j*37)%1024), j%3, Event{Index: int32(j)})
 		}
-		if _, err := s.Run(); err != nil {
+		if _, err := s.Run(noop{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -43,28 +41,4 @@ func BenchmarkNextEdge(b *testing.B) {
 		acc += c.NextEdge(Time(i * 977))
 	}
 	_ = acc
-}
-
-// BenchmarkCancelHeavy measures cancellation churn: per op, 64 events
-// scheduled, every other one cancelled, and the window run out.
-func BenchmarkCancelHeavy(b *testing.B) {
-	s := NewSim()
-	noop := Handler(func(Time) {})
-	ids := make([]EventID, 0, 64)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		now := s.Now()
-		for j := 0; j < 64; j++ {
-			ids = append(ids, s.At(now+Time(1+j%17), j%3, noop))
-		}
-		for j, id := range ids {
-			if j%2 == 0 {
-				s.Cancel(id)
-			}
-		}
-		ids = ids[:0]
-		if _, err := s.RunUntil(now + 20); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

@@ -8,16 +8,14 @@
 // (time, priority, sequence number) — so a simulation is exactly
 // reproducible across runs and across drivers.
 //
-// The event queue is a value-typed 4-ary min-heap over a slice of
-// 32-byte entries backed by a pooled slot array with an intrusive
-// free list: scheduling reuses slots, firing and cancellation bump a
-// per-slot generation, and an EventID is a (slot, generation) pair
-// rather than a retained pointer. A push sifts up with the new key in
-// scalars and writes the entry once, in place, into its final slot.
-// Steady-state operation — events fired at the rate they are
-// scheduled — performs zero heap allocations (pinned by
-// TestSteadyStateAllocs), and the dispatch order is byte-identical to
-// the original container/heap kernel (pinned by
+// Events are typed: an event is a (kind, index) pair that the
+// caller's Dispatcher switches on, never a closure, and the event queue
+// is a value-typed 4-ary min-heap over pointer-free 32-byte entries. A
+// push sifts up with the new key in scalars and writes the entry once,
+// in place, into its final slot. Steady-state operation — events fired
+// at the rate they are scheduled — performs zero heap allocations
+// (pinned by TestSteadyStateAllocs), and the dispatch order is
+// byte-identical to the previous closure-based kernel (pinned by
 // TestDispatchOrderGolden).
 package engine
 
@@ -89,19 +87,33 @@ func (c Clock) TicksElapsed(t Time) int64 {
 	return (int64(t) + c.periodPs - 1) / c.periodPs
 }
 
-// Handler is the callback attached to a scheduled event.
-type Handler func(now Time)
+// Kind names what a typed event does; its meaning belongs to the
+// Dispatcher that fires it.
+type Kind uint8
+
+// Event is a typed event: a kind and the index of the element it acts
+// on. It carries no pointer and no closure.
+type Event struct {
+	Kind  Kind
+	Index int32
+}
+
+// Dispatcher fires the events of a Sim: Run hands it each event in
+// order, with the clock already advanced to the event's time, and the
+// dispatcher switches on the kind.
+type Dispatcher interface {
+	Fire(now Time, ev Event)
+}
 
 // heapEnt is one entry of the 4-ary min-heap: the full ordering key
-// plus the pooled slot holding the handler. Entries are values — heap
-// comparisons and swaps never chase a pointer — and the field layout
-// packs one entry into 32 bytes.
+// plus the event itself. Entries are pointer-free values — heap
+// comparisons and swaps never chase a pointer and sifts need no write
+// barriers — and the field layout packs one entry into 32 bytes.
 type heapEnt struct {
 	at   Time
 	seq  uint64
-	prio int
-	slot int32
-	gen  uint32
+	prio int32
+	ev   Event
 }
 
 // entLess is the deterministic total order: time, then priority, then
@@ -116,45 +128,20 @@ func entLess(a, b heapEnt) bool {
 	return a.seq < b.seq
 }
 
-// evSlot is one pooled handler slot. gen distinguishes incarnations:
-// it starts at 1 and is bumped every time the slot is released (fire
-// or cancel), so a stale EventID or heap entry can never match a
-// reused slot. next links free slots intrusively; -1 terminates.
-type evSlot struct {
-	fn   Handler
-	gen  uint32
-	next int32
-}
-
-// EventID allows a scheduled event to be canceled before it fires. It
-// is a (slot, generation) pair, not a pointer: the zero value is
-// inert, cancellation is a generation comparison, and nothing keeps
-// the event alive after it fired. Generations are per-slot uint32
-// counters; an ID only aliases a later event after 2^32 reuses of its
-// slot.
-type EventID struct {
-	slot int32 // pool index + 1, so the zero EventID matches nothing
-	gen  uint32
-}
-
 // Sim is a discrete-event simulation instance. The zero value is not
 // usable; construct with NewSim.
 type Sim struct {
-	now      Time
-	heap     []heapEnt
-	pool     []evSlot
-	freeHead int32
-	live     int // scheduled and neither fired nor canceled
-	seq      uint64
-	stopped  bool
-	steps    uint64
-	limit    uint64       // safety valve against runaway models; 0 = unlimited
-	events   *obs.Counter // optional per-event metric; nil no-ops
+	now    Time
+	heap   []heapEnt
+	seq    uint64
+	steps  uint64
+	limit  uint64       // safety valve against runaway models; 0 = unlimited
+	events *obs.Counter // optional per-event metric; nil no-ops
 }
 
 // NewSim returns an empty simulation positioned at time zero.
 func NewSim() *Sim {
-	return &Sim{freeHead: -1}
+	return &Sim{}
 }
 
 // SetStepLimit installs a safety limit on the number of events the
@@ -173,33 +160,6 @@ func (s *Sim) Now() Time { return s.now }
 
 // Steps returns the number of events processed so far.
 func (s *Sim) Steps() uint64 { return s.steps }
-
-// allocSlot takes a slot off the free list (or grows the pool) and
-// installs fn, returning the slot index and its current generation.
-func (s *Sim) allocSlot(fn Handler) (int32, uint32) {
-	if i := s.freeHead; i >= 0 {
-		sl := &s.pool[i]
-		s.freeHead = sl.next
-		sl.fn = fn
-		return i, sl.gen
-	}
-	s.pool = append(s.pool, evSlot{fn: fn, gen: 1, next: -1})
-	return int32(len(s.pool) - 1), 1
-}
-
-// freeSlot releases a slot back to the pool, invalidating every
-// outstanding EventID and heap entry that refers to its current
-// incarnation.
-func (s *Sim) freeSlot(i int32) {
-	sl := &s.pool[i]
-	sl.fn = nil // drop the handler reference eagerly
-	sl.gen++
-	if sl.gen == 0 {
-		sl.gen = 1 // keep the zero EventID inert across wrap-around
-	}
-	sl.next = s.freeHead
-	s.freeHead = i
-}
 
 // siftDown re-inserts e — the entry displaced from the tail when the
 // root was removed — into the first n heap entries, starting at the
@@ -231,35 +191,20 @@ func (s *Sim) siftDown(e heapEnt, n int) {
 	h[i] = e
 }
 
-// popHeap removes and returns the minimum entry.
-func (s *Sim) popHeap() heapEnt {
-	h := s.heap
-	top := h[0]
-	n := len(h) - 1
-	s.heap = h[:n]
-	if n > 0 {
-		s.siftDown(h[n], n)
-	}
-	return top
-}
-
-// At schedules fn to run at absolute time at with the given priority
-// (lower priorities run first among simultaneous events). Scheduling
+// At schedules ev to fire at absolute time at with the given priority
+// (lower priorities fire first among simultaneous events). Scheduling
 // in the past panics: that is always a model bug.
-func (s *Sim) At(at Time, priority int, fn Handler) EventID {
+func (s *Sim) At(at Time, priority int, ev Event) {
 	if at < s.now {
 		panic(fmt.Sprintf("engine: scheduling event at %v before now %v", at, s.now))
 	}
-	if fn == nil {
-		panic("engine: nil event handler")
-	}
-	slot, gen := s.allocSlot(fn)
 	// Sift up with the new entry's key held in scalars and write it
 	// field by field into its final slot: building a heapEnt and
 	// copying it in stalls on store forwarding (narrow stores re-read
 	// as wide loads). The new sequence number exceeds every queued
 	// one, so the entry moves above a parent only when it is strictly
 	// earlier in (time, priority).
+	prio := int32(priority)
 	h := s.heap
 	i := len(h)
 	if i < cap(h) {
@@ -270,147 +215,59 @@ func (s *Sim) At(at Time, priority int, fn Handler) EventID {
 	for i > 0 {
 		p := (i - 1) >> 2
 		q := &h[p]
-		if q.at < at || q.at == at && q.prio <= priority {
+		if q.at < at || q.at == at && q.prio <= prio {
 			break
 		}
 		h[i] = *q
 		i = p
 	}
 	e := &h[i]
-	e.at, e.seq, e.prio, e.slot, e.gen = at, s.seq, priority, slot, gen
+	e.at, e.seq, e.prio, e.ev = at, s.seq, prio, ev
 	s.heap = h
 	s.seq++
-	s.live++
-	return EventID{slot: slot + 1, gen: gen}
 }
-
-// After schedules fn to run delay picoseconds from now.
-func (s *Sim) After(delay Time, priority int, fn Handler) EventID {
-	if delay < 0 {
-		panic("engine: negative delay")
-	}
-	return s.At(s.now+delay, priority, fn)
-}
-
-// Cancel prevents a scheduled event from firing. Canceling an already
-// fired or already canceled event is a no-op: its generation no longer
-// matches. The event's heap entry stays queued and is discarded when
-// it surfaces.
-func (s *Sim) Cancel(id EventID) {
-	i := id.slot - 1
-	if i < 0 || int(i) >= len(s.pool) || s.pool[i].gen != id.gen {
-		return
-	}
-	s.freeSlot(i)
-	s.live--
-}
-
-// Stop makes Run return after the current event completes. Handlers
-// call it when the simulated system has reached its termination
-// condition ahead of queue exhaustion.
-func (s *Sim) Stop() { s.stopped = true }
 
 // Reset returns the simulation to time zero with an empty queue while
-// keeping the heap and slot arrays for reuse: a Reset-then-reschedule
-// cycle performs no allocations once the arrays have grown to their
-// working size. Every pooled slot is relinked into the free list with
-// its generation bumped, so EventIDs issued before the Reset can never
-// cancel an event scheduled after it. The step limit and event counter
-// are deliberately kept — callers that reconfigure per run overwrite
-// them anyway, and callers that don't expect them to persist.
+// keeping the heap array for reuse: a Reset-then-reschedule cycle
+// performs no allocations once the array has grown to its working
+// size. The step limit and event counter are deliberately kept —
+// callers that reconfigure per run overwrite them anyway, and callers
+// that don't expect them to persist.
 //
 // The sequence counter restarts at zero, so two identical schedules —
 // one on a fresh Sim, one after Reset — dispatch in byte-identical
-// order: the order key is (time, priority, sequence) and slot indices
-// never influence it.
+// order.
 func (s *Sim) Reset() {
 	s.heap = s.heap[:0]
-	s.freeHead = -1
-	for i := range s.pool {
-		sl := &s.pool[i]
-		sl.fn = nil
-		sl.gen++
-		if sl.gen == 0 {
-			sl.gen = 1
-		}
-		sl.next = s.freeHead
-		s.freeHead = int32(i)
-	}
 	s.now = 0
-	s.live = 0
 	s.seq = 0
 	s.steps = 0
-	s.stopped = false
 }
 
-// Pending returns the number of live (non-canceled) events in the
-// queue. The count is maintained incrementally on schedule, fire and
-// cancel — O(1), not a queue scan.
-func (s *Sim) Pending() int { return s.live }
-
-// Run processes events in order until the queue is empty, Stop is
-// called, or the step limit is exceeded. It returns the final
-// simulation time.
-func (s *Sim) Run() (Time, error) {
-	return s.dispatch(MaxTime, false)
-}
-
-// RunUntil processes events with timestamps <= deadline, leaving later
-// events queued. It returns the simulation time after the last
-// processed event (or the deadline when nothing remains to do before
-// it). Used by the barrier-synchronised parallel driver to advance the
-// model one virtual-clock window at a time.
-func (s *Sim) RunUntil(deadline Time) (Time, error) {
-	return s.dispatch(deadline, true)
-}
-
-// dispatch is the shared core of Run and RunUntil: pop, skip stale
-// (canceled) entries, advance time, count the step against the safety
-// limit, fire. bounded selects the RunUntil semantics — stop at the
-// first entry past deadline and clamp the clock forward to it.
+// Run fires events in (time, priority, sequence) order through d until
+// the queue is empty or the step limit is exceeded, and returns the
+// final simulation time. Events d schedules while firing join the
+// queue. An event that exceeds the step limit is consumed and counted
+// but not fired; the rest stay queued.
 //
-// The pop is inlined rather than calling popHeap: the common case of
-// a shallow queue (the emulator's steady state keeps a handful of
-// events pending) then runs without a call or a 32-byte struct copy,
-// which is worth ~15% of kernel throughput.
-func (s *Sim) dispatch(deadline Time, bounded bool) (Time, error) {
-	s.stopped = false
-	for !s.stopped {
+// The pop is inlined rather than a call: the common case of a shallow
+// queue (the emulator's steady state keeps a handful of events
+// pending) then runs without a call or a 32-byte struct copy.
+func (s *Sim) Run(d Dispatcher) (Time, error) {
+	if d == nil {
+		panic("engine: nil dispatcher")
+	}
+	for {
 		h := s.heap
 		if len(h) == 0 {
-			break
+			return s.now, nil
 		}
 		top := h[0]
-		if bounded && top.at > deadline {
-			break
-		}
 		if n := len(h) - 1; n == 0 {
 			s.heap = h[:0]
 		} else {
 			s.heap = h[:n]
 			s.siftDown(h[n], n)
-		}
-		sl := &s.pool[top.slot]
-		if sl.gen != top.gen {
-			continue // canceled: the slot moved to a newer generation
-		}
-		fn := sl.fn
-		sl.fn = nil
-		sl.gen++
-		if sl.gen == 0 {
-			sl.gen = 1
-		}
-		sl.next = s.freeHead
-		s.freeHead = top.slot
-		s.live--
-		if !bounded && top.at < s.now {
-			// Run refuses to move time backwards (only reachable after
-			// a RunUntil deadline clamped the clock past queued work).
-			// The event is consumed, matching the original kernel,
-			// which had already popped it when it reported the error.
-			// RunUntil itself carries no such check: a clamped clock
-			// rewinds to the event's timestamp, as it always has.
-			return s.now, fmt.Errorf("engine: time went backwards (%v -> %v)", s.now, top.at)
 		}
 		s.now = top.at
 		s.steps++
@@ -418,23 +275,6 @@ func (s *Sim) dispatch(deadline Time, bounded bool) (Time, error) {
 		if s.limit > 0 && s.steps > s.limit {
 			return s.now, fmt.Errorf("engine: step limit %d exceeded at %v (livelock?)", s.limit, s.now)
 		}
-		fn(s.now)
+		d.Fire(s.now, top.ev)
 	}
-	if bounded && s.now < deadline {
-		s.now = deadline
-	}
-	return s.now, nil
-}
-
-// NextEventTime returns the timestamp of the earliest live queued
-// event and true, or zero and false when the queue holds no live
-// events.
-func (s *Sim) NextEventTime() (Time, bool) {
-	for len(s.heap) > 0 && s.pool[s.heap[0].slot].gen != s.heap[0].gen {
-		s.popHeap()
-	}
-	if len(s.heap) == 0 {
-		return 0, false
-	}
-	return s.heap[0].at, true
 }

@@ -72,14 +72,26 @@ func TestClockEdgeProperties(t *testing.T) {
 	}
 }
 
+// fns is the test dispatcher: an event's Index names the closure it
+// fires. Closures are a test convenience; the kernel only sees typed
+// events.
+type fns []func(now Time)
+
+func (d *fns) Fire(now Time, ev Event) { (*d)[ev.Index](now) }
+
+// at schedules fn on s at time at with the given priority.
+func (d *fns) at(s *Sim, at Time, prio int, fn func(now Time)) {
+	*d = append(*d, fn)
+	s.At(at, prio, Event{Index: int32(len(*d) - 1)})
+}
+
 func TestSimRunsInTimeOrder(t *testing.T) {
-	s := NewSim()
+	s, d := NewSim(), &fns{}
 	var seen []Time
 	for _, at := range []Time{500, 100, 300, 200, 400} {
-		at := at
-		s.At(at, 0, func(now Time) { seen = append(seen, now) })
+		d.at(s, at, 0, func(now Time) { seen = append(seen, now) })
 	}
-	end, err := s.Run()
+	end, err := s.Run(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,12 +107,12 @@ func TestSimRunsInTimeOrder(t *testing.T) {
 }
 
 func TestSimPriorityOrder(t *testing.T) {
-	s := NewSim()
+	s, d := NewSim(), &fns{}
 	var seen []int
-	s.At(100, 2, func(Time) { seen = append(seen, 2) })
-	s.At(100, 0, func(Time) { seen = append(seen, 0) })
-	s.At(100, 1, func(Time) { seen = append(seen, 1) })
-	if _, err := s.Run(); err != nil {
+	d.at(s, 100, 2, func(Time) { seen = append(seen, 2) })
+	d.at(s, 100, 0, func(Time) { seen = append(seen, 0) })
+	d.at(s, 100, 1, func(Time) { seen = append(seen, 1) })
+	if _, err := s.Run(d); err != nil {
 		t.Fatal(err)
 	}
 	if len(seen) != 3 || seen[0] != 0 || seen[1] != 1 || seen[2] != 2 {
@@ -109,13 +121,12 @@ func TestSimPriorityOrder(t *testing.T) {
 }
 
 func TestSimSeqBreaksTies(t *testing.T) {
-	s := NewSim()
+	s, d := NewSim(), &fns{}
 	var seen []int
 	for i := 0; i < 10; i++ {
-		i := i
-		s.At(100, 0, func(Time) { seen = append(seen, i) })
+		d.at(s, 100, 0, func(Time) { seen = append(seen, i) })
 	}
-	if _, err := s.Run(); err != nil {
+	if _, err := s.Run(d); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range seen {
@@ -126,17 +137,17 @@ func TestSimSeqBreaksTies(t *testing.T) {
 }
 
 func TestSimSchedulingDuringRun(t *testing.T) {
-	s := NewSim()
+	s, d := NewSim(), &fns{}
 	count := 0
 	var ping func(now Time)
 	ping = func(now Time) {
 		count++
 		if count < 5 {
-			s.After(10, 0, ping)
+			d.at(s, now+10, 0, ping)
 		}
 	}
-	s.At(0, 0, ping)
-	end, err := s.Run()
+	d.at(s, 0, 0, ping)
+	end, err := s.Run(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,126 +157,50 @@ func TestSimSchedulingDuringRun(t *testing.T) {
 }
 
 func TestSimPastSchedulingPanics(t *testing.T) {
-	s := NewSim()
-	s.At(100, 0, func(now Time) {
+	s, d := NewSim(), &fns{}
+	d.at(s, 100, 0, func(now Time) {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		s.At(50, 0, func(Time) {})
+		s.At(50, 0, Event{})
 	})
-	if _, err := s.Run(); err != nil {
+	if _, err := s.Run(d); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestSimNilHandlerPanics: the dispatcher is the kernel's only event
+// handler, and running without one is a caller bug.
 func TestSimNilHandlerPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("nil handler did not panic")
+			t.Error("nil dispatcher did not panic")
 		}
 	}()
-	NewSim().At(0, 0, nil)
+	NewSim().Run(nil)
 }
 
+// TestSimNegativeDelayPanics: an event a negative delay from now — here
+// before time zero on a fresh Sim — is refused like any past event.
 func TestSimNegativeDelayPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Error("negative delay did not panic")
 		}
 	}()
-	NewSim().After(-1, 0, func(Time) {})
-}
-
-func TestSimCancel(t *testing.T) {
-	s := NewSim()
-	fired := false
-	id := s.At(100, 0, func(Time) { fired = true })
-	if got := s.Pending(); got != 1 {
-		t.Errorf("Pending() = %d", got)
-	}
-	s.Cancel(id)
-	if got := s.Pending(); got != 0 {
-		t.Errorf("Pending() after cancel = %d", got)
-	}
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fired {
-		t.Error("canceled event fired")
-	}
-	s.Cancel(id) // double-cancel is a no-op
-	s.Cancel(EventID{})
-}
-
-func TestSimStop(t *testing.T) {
-	s := NewSim()
-	count := 0
-	s.At(10, 0, func(Time) { count++; s.Stop() })
-	s.At(20, 0, func(Time) { count++ })
-	end, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count != 1 || end != 10 {
-		t.Errorf("count=%d end=%v after Stop", count, end)
-	}
-	// Run resumes after Stop.
-	end, err = s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count != 2 || end != 20 {
-		t.Errorf("count=%d end=%v after resume", count, end)
-	}
+	NewSim().At(-1, 0, Event{})
 }
 
 func TestSimStepLimit(t *testing.T) {
-	s := NewSim()
+	s, d := NewSim(), &fns{}
 	s.SetStepLimit(10)
 	var loop func(now Time)
-	loop = func(now Time) { s.After(1, 0, loop) }
-	s.At(0, 0, loop)
-	if _, err := s.Run(); err == nil {
+	loop = func(now Time) { d.at(s, now+1, 0, loop) }
+	d.at(s, 0, 0, loop)
+	if _, err := s.Run(d); err == nil {
 		t.Error("runaway simulation not stopped by step limit")
-	}
-}
-
-func TestSimRunUntil(t *testing.T) {
-	s := NewSim()
-	var seen []Time
-	for _, at := range []Time{10, 20, 30, 40} {
-		s.At(at, 0, func(now Time) { seen = append(seen, now) })
-	}
-	now, err := s.RunUntil(25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if now != 25 {
-		t.Errorf("RunUntil returned %v, want 25", now)
-	}
-	if len(seen) != 2 {
-		t.Errorf("processed %d events before deadline, want 2", len(seen))
-	}
-	if next, ok := s.NextEventTime(); !ok || next != 30 {
-		t.Errorf("NextEventTime() = %v,%v", next, ok)
-	}
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 4 {
-		t.Errorf("processed %d events total", len(seen))
-	}
-}
-
-func TestNextEventTimeSkipsCanceled(t *testing.T) {
-	s := NewSim()
-	id := s.At(10, 0, func(Time) {})
-	s.At(20, 0, func(Time) {})
-	s.Cancel(id)
-	if next, ok := s.NextEventTime(); !ok || next != 20 {
-		t.Errorf("NextEventTime() = %v,%v, want 20,true", next, ok)
 	}
 }
 
@@ -274,7 +209,7 @@ func TestSimDeterminism(t *testing.T) {
 	// execution sequence on every run.
 	run := func(seed int64) []Time {
 		rng := rand.New(rand.NewSource(seed))
-		s := NewSim()
+		s, d := NewSim(), &fns{}
 		var seen []Time
 		var spawn func(now Time)
 		depth := 0
@@ -282,13 +217,13 @@ func TestSimDeterminism(t *testing.T) {
 			seen = append(seen, now)
 			depth++
 			if depth < 200 {
-				s.After(Time(rng.Intn(50)), rng.Intn(3), spawn)
+				d.at(s, now+Time(rng.Intn(50)), rng.Intn(3), spawn)
 			}
 		}
 		for i := 0; i < 20; i++ {
-			s.At(Time(rng.Intn(100)), rng.Intn(3), spawn)
+			d.at(s, Time(rng.Intn(100)), rng.Intn(3), spawn)
 		}
-		if _, err := s.Run(); err != nil {
+		if _, err := s.Run(d); err != nil {
 			t.Fatal(err)
 		}
 		return seen

@@ -7,7 +7,7 @@ import (
 )
 
 // refEvent is one event of the reference queue: its full order key,
-// its label and, for events whose handler schedules a follow-up, the
+// its label and, for events whose firing schedules a follow-up, the
 // follow-up's delay and priority.
 type refEvent struct {
 	at    Time
@@ -17,25 +17,25 @@ type refEvent struct {
 	spawn bool
 	delay Time
 	fprio int
-	done  bool // fired, canceled or dropped by a Reset
 }
 
-// TestDispatchOrderMatchesSortedReference drives 10⁴ random At,
-// Cancel, RunUntil and Reset operations over a few distinct times and
+// TestDispatchOrderMatchesSortedReference drives 10⁴ random At, Run,
+// step-limited Run and Reset operations over a few distinct times and
 // priorities, so ties on (time, priority) are the common case. After
-// every dispatch window the kernel must have fired exactly what a
-// reference fires: live events with time <= deadline, in
-// (time, priority, scheduling sequence) order. Some handlers schedule
-// a follow-up while they run; the reference mirrors it.
+// every operation the kernel must have fired exactly what a reference
+// fires: queued events in (time, priority, scheduling sequence) order,
+// where a run stopped by the step limit consumes one event past the
+// limit without firing it. Some events schedule a follow-up when they
+// fire; the reference mirrors it.
 func TestDispatchOrderMatchesSortedReference(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		rng := rand.New(rand.NewSource(seed))
-		s := NewSim()
+		s, d := NewSim(), &fns{}
 		var (
-			live      []*refEvent // reference queue, pruned lazily
-			ids       []EventID   // every top-level At, for Cancel
-			events    []*refEvent // the reference twin of ids[k]
+			live      []*refEvent // reference queue
 			seq       int         // reference sequence: At calls since the last Reset
+			steps     uint64      // reference step count since the last Reset
+			now       Time        // reference clock
 			got, want []int
 		)
 		push := func(e *refEvent) {
@@ -43,38 +43,52 @@ func TestDispatchOrderMatchesSortedReference(t *testing.T) {
 			seq++
 			live = append(live, e)
 		}
-		var handler func(e *refEvent) Handler
-		handler = func(e *refEvent) Handler {
-			return func(now Time) {
+		var schedule func(e *refEvent)
+		schedule = func(e *refEvent) {
+			d.at(s, e.at, e.prio, func(now Time) {
 				got = append(got, e.label)
 				if e.spawn {
-					f := &refEvent{at: now + e.delay, prio: e.fprio, label: -e.label - 1}
-					s.At(f.at, f.prio, handler(f))
+					schedule(&refEvent{at: now + e.delay, prio: e.fprio, label: -e.label - 1})
+				}
+			})
+		}
+		// popRef removes the reference's next event, advancing its
+		// clock and step count; nil when the queue is empty.
+		popRef := func() *refEvent {
+			if len(live) == 0 {
+				return nil
+			}
+			k := 0
+			for j, e := range live {
+				n := live[k]
+				if e.at < n.at || e.at == n.at && (e.prio < n.prio || e.prio == n.prio && e.seq < n.seq) {
+					k = j
 				}
 			}
+			e := live[k]
+			live = slices.Delete(live, k, k+1)
+			now = e.at
+			steps++
+			return e
 		}
-		// runRef replays RunUntil(deadline) on the reference queue.
-		runRef := func(deadline Time) {
-			for {
-				live = slices.DeleteFunc(live, func(e *refEvent) bool { return e.done })
-				var next *refEvent
-				for _, e := range live {
-					if e.at > deadline {
-						continue
-					}
-					if next == nil || e.at < next.at ||
-						e.at == next.at && (e.prio < next.prio || e.prio == next.prio && e.seq < next.seq) {
-						next = e
-					}
+		fireRef := func(e *refEvent) {
+			want = append(want, e.label)
+			if e.spawn {
+				push(&refEvent{at: e.at + e.delay, prio: e.fprio, label: -e.label - 1})
+			}
+		}
+		// runRef replays Run under a step budget (0: unlimited) and
+		// reports whether the limit stopped it.
+		runRef := func(budget int) bool {
+			for fired := 0; ; fired++ {
+				e := popRef()
+				if e == nil {
+					return false
 				}
-				if next == nil {
-					return
+				if budget > 0 && fired == budget {
+					return true
 				}
-				next.done = true
-				want = append(want, next.label)
-				if next.spawn {
-					push(&refEvent{at: next.at + next.delay, prio: next.fprio, label: -next.label - 1})
-				}
+				fireRef(e)
 			}
 		}
 		check := func(op int) {
@@ -82,56 +96,51 @@ func TestDispatchOrderMatchesSortedReference(t *testing.T) {
 			if !slices.Equal(got, want) {
 				t.Fatalf("seed %d op %d: kernel fired %v, reference %v", seed, op, got, want)
 			}
-			n := 0
-			for _, e := range live {
-				if !e.done {
-					n++
-				}
-			}
-			if s.Pending() != n {
-				t.Fatalf("seed %d op %d: Pending() = %d, reference %d", seed, op, s.Pending(), n)
+			if s.Now() != now || s.Steps() != steps {
+				t.Fatalf("seed %d op %d: kernel at now=%v steps=%d, reference now=%v steps=%d",
+					seed, op, s.Now(), s.Steps(), now, steps)
 			}
 		}
 
+		labels := 0
 		for op := 0; op < 10_000; op++ {
 			switch r := rng.Intn(20); {
 			case r < 12: // schedule
 				e := &refEvent{
 					at:    s.Now() + Time(rng.Intn(4))*5,
 					prio:  rng.Intn(3),
-					label: len(ids),
+					label: labels,
 					spawn: rng.Intn(6) == 0,
 					delay: Time(rng.Intn(2)) * 5,
 					fprio: rng.Intn(3),
 				}
+				labels++
 				push(e)
-				ids = append(ids, s.At(e.at, e.prio, handler(e)))
-				events = append(events, e)
-			case r < 16: // cancel, possibly a dead event
-				if len(ids) > 0 {
-					k := rng.Intn(len(ids))
-					s.Cancel(ids[k])
-					events[k].done = true
+				schedule(e)
+			case r < 16: // a run the step limit stops after k events
+				k := 1 + rng.Intn(4)
+				s.SetStepLimit(s.Steps() + uint64(k))
+				_, err := s.Run(d)
+				if stopped := runRef(k); stopped != (err != nil) {
+					t.Fatalf("seed %d op %d: Run error %v, reference stopped=%v", seed, op, err, stopped)
 				}
-			case r < 19: // dispatch a window
-				deadline := s.Now() + Time(rng.Intn(12))
-				if _, err := s.RunUntil(deadline); err != nil {
+			case r < 19: // run the queue dry
+				s.SetStepLimit(0)
+				if _, err := s.Run(d); err != nil {
 					t.Fatal(err)
 				}
-				runRef(deadline)
+				runRef(0)
 			default:
 				s.Reset()
-				for _, e := range live {
-					e.done = true
-				}
-				seq = 0
+				live, seq, steps, now = live[:0], 0, 0, 0
 			}
 			check(op)
 		}
-		if _, err := s.Run(); err != nil {
+		s.SetStepLimit(0)
+		if _, err := s.Run(d); err != nil {
 			t.Fatal(err)
 		}
-		runRef(MaxTime)
+		runRef(0)
 		check(10_000)
 		if len(want) < 1000 {
 			t.Fatalf("seed %d: only %d events fired; the oracle proves little", seed, len(want))

@@ -13,55 +13,35 @@ import (
 var updateReplay = flag.Bool("update", false, "rewrite the kernel dispatch-order golden")
 
 // dispatchTrace drives one seeded random workload — a mix of
-// scheduling, cancellation, Stop and RunUntil windows — and records
-// the complete observable behaviour of the kernel: every dispatched
-// event (serial, time), every driver-level return value, and the
-// Pending/NextEventTime views between phases.
+// scheduling (also from inside firing events), Run, Reset and
+// step-limited runs — and records the complete observable behaviour of
+// the kernel: every dispatched event (serial, time), every Run return
+// value, and the clock and step count between phases.
 //
 // The trace for each seed is pinned in testdata/dispatch_order.golden.
-// The golden was recorded against the original container/heap kernel
-// (pointer events, lazy cancellation flags); the current kernel must
-// replay it byte-for-byte, which pins the (time, priority, seq) total
-// order, the Stop/RunUntil resume semantics and the cancellation
-// behaviour across the rewrite to the pooled 4-ary heap.
+// The golden was recorded against the closure-based kernel (pooled
+// handler slots); the typed-event kernel must replay it byte-for-byte,
+// which pins the (time, priority, seq) total order, the Reset
+// semantics and the step-limit behaviour across the rewrite.
 func dispatchTrace(seed int64) string {
 	rng := rand.New(rand.NewSource(seed))
-	s := NewSim()
+	s, d := NewSim(), &fns{}
 	var b strings.Builder
-
-	type slot struct {
-		id     EventID
-		serial int
-	}
-	var ids []slot // every schedule ever made, fired or not
 	serial := 0
 	budget := 200 // total events any one workload may schedule
 
 	var schedule func(at Time, prio int)
-	mkHandler := func(sn int) Handler {
-		return func(now Time) {
-			fmt.Fprintf(&b, "fire %d at=%d\n", sn, now)
-			switch rng.Intn(10) {
-			case 0, 1, 2, 3:
-				if budget > 0 {
-					schedule(now+Time(rng.Intn(60)), rng.Intn(3))
-				}
-			case 4:
-				if budget > 0 && rng.Intn(2) == 0 {
-					schedule(now+Time(rng.Intn(60)), rng.Intn(3))
-					schedule(now+Time(rng.Intn(60)), rng.Intn(3))
-				}
-			case 5:
-				if len(ids) > 0 {
-					pick := ids[rng.Intn(len(ids))]
-					s.Cancel(pick.id)
-					fmt.Fprintf(&b, "cancel %d\n", pick.serial)
-				}
-			case 6:
-				if rng.Intn(4) == 0 {
-					s.Stop()
-					fmt.Fprintf(&b, "stop\n")
-				}
+	fire := func(sn int, now Time) {
+		fmt.Fprintf(&b, "fire %d at=%d\n", sn, now)
+		switch rng.Intn(10) {
+		case 0, 1, 2, 3:
+			if budget > 0 {
+				schedule(now+Time(rng.Intn(60)), rng.Intn(3))
+			}
+		case 4:
+			if budget > 0 && rng.Intn(2) == 0 {
+				schedule(now+Time(rng.Intn(60)), rng.Intn(3))
+				schedule(now+Time(rng.Intn(60)), rng.Intn(3))
 			}
 		}
 	}
@@ -69,15 +49,13 @@ func dispatchTrace(seed int64) string {
 		budget--
 		sn := serial
 		serial++
-		id := s.At(at, prio, mkHandler(sn))
-		ids = append(ids, slot{id, sn})
+		d.at(s, at, prio, func(now Time) { fire(sn, now) })
 		fmt.Fprintf(&b, "sched %d at=%d prio=%d\n", sn, at, prio)
 	}
-
-	checkpoint := func() {
-		next, ok := s.NextEventTime()
-		fmt.Fprintf(&b, "state now=%d pending=%d next=%d,%v steps=%d\n",
-			s.Now(), s.Pending(), next, ok, s.Steps())
+	run := func() {
+		now, err := s.Run(d)
+		fmt.Fprintf(&b, "run now=%d err=%v\n", now, err)
+		fmt.Fprintf(&b, "state now=%d steps=%d\n", s.Now(), s.Steps())
 	}
 
 	for phase := 0; phase < 6; phase++ {
@@ -85,26 +63,22 @@ func dispatchTrace(seed int64) string {
 		for i, n := 0, 2+rng.Intn(5); i < n && budget > 0; i++ {
 			schedule(s.Now()+Time(rng.Intn(120)), rng.Intn(3))
 		}
-		// Cancel a few arbitrary ids (possibly already fired or
-		// already canceled — both must be no-ops).
-		for i, n := 0, rng.Intn(3); i < n && len(ids) > 0; i++ {
-			pick := ids[rng.Intn(len(ids))]
-			s.Cancel(pick.id)
-			fmt.Fprintf(&b, "cancel %d\n", pick.serial)
+		switch phase % 3 {
+		case 1: // drop the queue, then schedule afresh from time zero
+			s.Reset()
+			fmt.Fprintf(&b, "reset now=%d steps=%d\n", s.Now(), s.Steps())
+			for i, n := 0, 1+rng.Intn(4); i < n && budget > 0; i++ {
+				schedule(s.Now()+Time(rng.Intn(120)), rng.Intn(3))
+			}
+		case 2: // stop a run at the step limit, then run the rest
+			limit := s.Steps() + 1 + uint64(rng.Intn(4))
+			s.SetStepLimit(limit)
+			fmt.Fprintf(&b, "limit %d\n", limit)
+			run()
+			s.SetStepLimit(0)
 		}
-		if phase%2 == 0 {
-			deadline := s.Now() + Time(rng.Intn(150))
-			now, err := s.RunUntil(deadline)
-			fmt.Fprintf(&b, "rununtil deadline=%d now=%d err=%v\n", deadline, now, err)
-		} else {
-			now, err := s.Run()
-			fmt.Fprintf(&b, "run now=%d err=%v\n", now, err)
-		}
-		checkpoint()
+		run()
 	}
-	now, err := s.Run()
-	fmt.Fprintf(&b, "final now=%d err=%v\n", now, err)
-	checkpoint()
 	return b.String()
 }
 
@@ -120,8 +94,8 @@ func replayGolden() string {
 }
 
 // TestDispatchOrderGolden asserts the kernel replays the recorded
-// dispatch order of the original container/heap implementation on
-// every seeded workload, byte for byte.
+// dispatch order of the closure-based kernel on every seeded workload,
+// byte for byte.
 func TestDispatchOrderGolden(t *testing.T) {
 	got := replayGolden()
 	path := filepath.Join("testdata", "dispatch_order.golden")

@@ -3,26 +3,26 @@ package engine
 import "testing"
 
 // record drives a deterministic little workload — staggered schedules
-// across three priorities, a couple of cancellations, one in-handler
-// reschedule — and returns the dispatch trace as (time, tag) pairs.
+// across three priorities and one in-event reschedule — and returns
+// the dispatch trace as (time, tag) pairs.
 func record(s *Sim) ([]Time, []int, error) {
 	var times []Time
 	var tags []int
-	note := func(tag int) Handler {
+	d := &fns{}
+	note := func(tag int) func(Time) {
 		return func(now Time) {
 			times = append(times, now)
 			tags = append(tags, tag)
 		}
 	}
-	s.At(5, 1, note(1))
-	s.At(5, 0, note(2))
-	dead := s.At(7, 0, note(3))
-	s.At(9, 2, func(now Time) {
+	d.at(s, 5, 1, note(1))
+	d.at(s, 5, 0, note(2))
+	d.at(s, 7, 0, note(3))
+	d.at(s, 9, 2, func(now Time) {
 		note(4)(now)
-		s.After(3, 0, note(5))
+		d.at(s, now+3, 0, note(5))
 	})
-	s.Cancel(dead)
-	_, err := s.Run()
+	_, err := s.Run(d)
 	return times, tags, err
 }
 
@@ -43,9 +43,8 @@ func TestResetReplaysFresh(t *testing.T) {
 	}
 	for round := 0; round < 3; round++ {
 		s.Reset()
-		if s.Now() != 0 || s.Pending() != 0 || s.Steps() != 0 {
-			t.Fatalf("round %d: Reset left now=%v pending=%d steps=%d",
-				round, s.Now(), s.Pending(), s.Steps())
+		if s.Now() != 0 || s.Steps() != 0 {
+			t.Fatalf("round %d: Reset left now=%v steps=%d", round, s.Now(), s.Steps())
 		}
 		times, tags, err := record(s)
 		if err != nil {
@@ -63,41 +62,14 @@ func TestResetReplaysFresh(t *testing.T) {
 	}
 }
 
-// TestResetInvalidatesStaleIDs: an EventID issued before a Reset must
-// not cancel the event that lands on the same slot afterwards.
-func TestResetInvalidatesStaleIDs(t *testing.T) {
-	s := NewSim()
-	var stale []EventID
-	for i := 0; i < 8; i++ {
-		stale = append(stale, s.At(Time(10+i), 0, func(Time) {}))
-	}
-	s.Reset()
-	fired := 0
-	for i := 0; i < 8; i++ {
-		s.At(Time(10+i), 0, func(Time) { fired++ })
-	}
-	for _, id := range stale {
-		s.Cancel(id)
-	}
-	if s.Pending() != 8 {
-		t.Fatalf("stale cancels removed live events (pending = %d)", s.Pending())
-	}
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 8 {
-		t.Errorf("fired %d of 8 events scheduled after Reset", fired)
-	}
-}
-
 // TestResetMidQueue: Reset while events are still queued drops them —
 // the queue empties without firing anything.
 func TestResetMidQueue(t *testing.T) {
-	s := NewSim()
+	s, d := NewSim(), &fns{}
 	fired := false
-	s.At(100, 0, func(Time) { fired = true })
+	d.at(s, 100, 0, func(Time) { fired = true })
 	s.Reset()
-	if _, err := s.Run(); err != nil {
+	if _, err := s.Run(d); err != nil {
 		t.Fatal(err)
 	}
 	if fired {
@@ -108,21 +80,20 @@ func TestResetMidQueue(t *testing.T) {
 	}
 }
 
-// TestResetAllocs pins the arena-reuse guarantee: once the heap and the
-// slot pool have grown to the workload's high-water mark, a
-// Reset-schedule-drain cycle performs zero heap allocations.
+// TestResetAllocs pins the arena-reuse guarantee: once the heap has
+// grown to the workload's high-water mark, a Reset-schedule-drain
+// cycle performs zero heap allocations.
 func TestResetAllocs(t *testing.T) {
 	s := NewSim()
-	noop := Handler(func(Time) {})
 	var err error
 	cycle := func() {
 		s.Reset()
 		for i := 0; i < 64; i++ {
-			s.At(Time(1+i%17), i%3, noop)
+			s.At(Time(1+i%17), i%3, Event{Kind: Kind(i % 5), Index: int32(i)})
 		}
-		_, err = s.Run()
+		_, err = s.Run(noop{})
 	}
-	cycle() // warm the heap and the pool
+	cycle() // warm the heap
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,9 @@
 //     explorer's waves — each task emulating one candidate on a
 //     machine checked out of an emulator pool and writing only its own
 //     result slot, so output is in candidate order and each
-//     candidate's failure stays its own.
+//     candidate's failure stays its own. Workers and thieves alike
+//     take a deque's tail, so under a costliest-last layout an idle
+//     worker always picks up the costliest task still queued.
 //   - Pool rations concurrency for serving, where requests arrive over
 //     time rather than as one batch: bounded worker slots, a bounded
 //     admission queue that fails fast when full, and a graceful drain.

