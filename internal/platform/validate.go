@@ -96,7 +96,7 @@ func (p *Platform) Validate() error {
 		add(CodeBadCAHopTicks, p.Name, "negative CA hop tick count %d", p.CAHopTicks)
 	}
 
-	hostedBy := make(map[psdf.ProcessID]string)
+	hostedBy := make(map[psdf.ProcessID]*Segment)
 	for i, s := range p.Segments {
 		if s.Index != i+1 {
 			add(CodeBadSegmentIndex, s.Name(), "segment index %d out of sequence (want %d)", s.Index, i+1)
@@ -109,10 +109,10 @@ func (p *Platform) Validate() error {
 		}
 		for _, fu := range s.FUs {
 			if prev, ok := hostedBy[fu.Process]; ok {
-				add(CodeDoubleHosted, fu.Process.String(), "hosted by both %s and %s", prev, s.Name())
+				add(CodeDoubleHosted, fu.Process.String(), "hosted by both %s and %s", prev.Name(), s.Name())
 				continue
 			}
-			hostedBy[fu.Process] = s.Name()
+			hostedBy[fu.Process] = s
 		}
 	}
 

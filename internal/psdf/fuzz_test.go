@@ -7,15 +7,19 @@ import (
 )
 
 // sscanfFlowName is ParseFlowName as it was written with fmt: each
-// number is scanned with Sscanf and must print back unchanged.
+// number is scanned with Sscanf and must print back unchanged. Like
+// ParseFlowName, it reads the target "P-1" as the system output.
 func sscanfFlowName(source ProcessID, name string) (Flow, error) {
 	parts := strings.Split(name, "_")
 	if len(parts) != 4 {
 		return Flow{}, fmt.Errorf("psdf: flow name %q: want 4 '_'-separated fields, got %d", name, len(parts))
 	}
-	target, err := ParseProcessName(parts[0])
-	if err != nil {
-		return Flow{}, fmt.Errorf("psdf: flow name %q: %v", name, err)
+	target := SystemOutput
+	if parts[0] != "P-1" {
+		var err error
+		if target, err = ParseProcessName(parts[0]); err != nil {
+			return Flow{}, fmt.Errorf("psdf: flow name %q: %v", name, err)
+		}
 	}
 	var items, order, ticks int
 	if _, err := fmt.Sscanf(parts[1], "%d", &items); err != nil || fmt.Sprintf("%d", items) != parts[1] {
@@ -54,6 +58,10 @@ func FuzzParseFlowName(f *testing.F) {
 		"P1_1_1_9223372036854775807",
 		"P1_1_1_9223372036854775808",
 		"P1_-9223372036854775808_1_1",
+		"P-1_36_4_10",
+		"P-01_36_4_10",
+		"P-2_36_4_10",
+		"P-1_36_4",
 	} {
 		f.Add(seed)
 	}

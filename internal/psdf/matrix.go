@@ -32,10 +32,8 @@ func NewCommMatrix(n int) *CommMatrix {
 // the matrix, matching the paper's example.
 func (m *Model) CommunicationMatrix() *CommMatrix {
 	n := 0
-	for p := range m.processes {
-		if int(p)+1 > n {
-			n = int(p) + 1
-		}
+	if procs := m.sortedProcesses(); len(procs) > 0 {
+		n = max(0, int(procs[len(procs)-1])+1)
 	}
 	cm := NewCommMatrix(n)
 	for _, f := range m.flows {

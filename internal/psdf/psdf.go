@@ -19,8 +19,10 @@
 package psdf
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -95,18 +97,33 @@ func (f Flow) String() string {
 	return fmt.Sprintf("%s->%s{D=%d T=%d C=%d}", f.Source, f.Target, f.Items, f.Order, f.Ticks)
 }
 
+// systemOutputName is how Name renders the SystemOutput target.
+const systemOutputName = "P-1"
+
 // ParseFlowName decodes the XML flow encoding produced by the M2T
 // transformation ("P1_576_1_250") into a Flow. The source process is
 // not part of the encoding (it is the enclosing XML element) and must
-// be supplied by the caller.
+// be supplied by the caller. The target may be the system output,
+// which Name renders "P-1" ("P-1_36_4_10"); ParseProcessName refuses
+// that name, since no process can have it.
 func ParseFlowName(source ProcessID, name string) (Flow, error) {
-	parts := strings.Split(name, "_")
-	if len(parts) != 4 {
-		return Flow{}, fmt.Errorf("psdf: flow name %q: want 4 '_'-separated fields, got %d", name, len(parts))
+	var parts [4]string
+	rest := name
+	for i := range parts[:3] {
+		var ok bool
+		if parts[i], rest, ok = strings.Cut(rest, "_"); !ok {
+			return Flow{}, fmt.Errorf("psdf: flow name %q: want 4 '_'-separated fields, got %d", name, i+1)
+		}
 	}
-	target, err := ParseProcessName(parts[0])
-	if err != nil {
-		return Flow{}, fmt.Errorf("psdf: flow name %q: %v", name, err)
+	if parts[3] = rest; strings.Contains(rest, "_") {
+		return Flow{}, fmt.Errorf("psdf: flow name %q: want 4 '_'-separated fields, got %d", name, 4+strings.Count(rest, "_"))
+	}
+	target := SystemOutput
+	if parts[0] != systemOutputName {
+		var err error
+		if target, err = ParseProcessName(parts[0]); err != nil {
+			return Flow{}, fmt.Errorf("psdf: flow name %q: %v", name, err)
+		}
 	}
 	items, ok := canonicalInt(parts[1])
 	if !ok {
@@ -124,10 +141,14 @@ func ParseFlowName(source ProcessID, name string) (Flow, error) {
 }
 
 // canonicalInt parses s as a decimal int written the way Name renders
-// one: "+5", "05" and "5x" are refused, "-5" is accepted.
+// one: "+5", "05", "-0" and "5x" are refused, "-5" is accepted.
 func canonicalInt(s string) (int, bool) {
 	n, err := strconv.Atoi(s)
-	return n, err == nil && strconv.Itoa(n) == s
+	if err != nil || s[0] == '+' {
+		return 0, false
+	}
+	digits := strings.TrimPrefix(s, "-")
+	return n, digits[0] != '0' || s == "0"
 }
 
 // ParseProcessName decodes a conventional process name ("P0", "P13")
@@ -157,16 +178,25 @@ func ParseProcessName(name string) (ProcessID, error) {
 // Model is a complete PSDF application model: a set of processes and
 // the packet flows between them. Construct one with NewModel and
 // AddFlow, or load one from a generated XML schema via package schema.
+//
+// The process set is kept without a map, as sorted runs (see
+// AddProcess), so that reading it — Processes, Validate and every
+// consumer of a parsed model — is a slice walk, and a model read by
+// many goroutines is only ever read.
 type Model struct {
-	name      string
-	processes map[ProcessID]bool
-	flows     []Flow
-	nominal   int // package size the flows' C values were calibrated at
+	name string
+	// procs holds the declared processes, each once, as sorted runs
+	// laid end to end, longest first, whose lengths are the powers of
+	// two that sum to len(procs): n = 13 is a run of 8, then 4, then 1.
+	procs   []ProcessID
+	spare   []ProcessID // merge scratch of AddProcess
+	flows   []Flow
+	nominal int // package size the flows' C values were calibrated at
 }
 
 // NewModel returns an empty PSDF model with the given application name.
 func NewModel(name string) *Model {
-	return &Model{name: name, processes: make(map[ProcessID]bool)}
+	return &Model{name: name}
 }
 
 // Name returns the application name the model was created with.
@@ -193,10 +223,71 @@ func (m *Model) NominalPackageSize() int { return m.nominal }
 // declared implicitly; explicit declaration is only needed for
 // processes with no flows (rare, but legal for sinks declared before
 // their inputs are modeled).
+//
+// A new process is appended as a run of one, and runs of equal length
+// at the end are merged, as a binary counter carries: each process
+// takes part in at most log₂ P merges, so declaring P processes in any
+// order costs O(P log P) in all, and the membership test is a binary
+// search per run.
 func (m *Model) AddProcess(p ProcessID) {
-	if p != SystemOutput {
-		m.processes[p] = true
+	if p == SystemOutput || m.hasProcess(p) {
+		return
 	}
+	m.procs = append(m.procs, p)
+	n := len(m.procs)
+	for size := 1; n&size == 0; size <<= 1 {
+		m.mergeRuns(m.procs[n-2*size:], size)
+	}
+}
+
+// hasProcess reports whether p is declared.
+func (m *Model) hasProcess(p ProcessID) bool {
+	for rest := m.procs; len(rest) > 0; {
+		run := rest[:1<<(bits.Len(uint(len(rest)))-1)]
+		if _, ok := slices.BinarySearch(run, p); ok {
+			return true
+		}
+		rest = rest[len(run):]
+	}
+	return false
+}
+
+// mergeRuns merges the sorted runs r[:size] and r[size:] in place.
+func (m *Model) mergeRuns(r []ProcessID, size int) {
+	if r[size-1] < r[size] {
+		return // already in order, as ascending declarations leave them
+	}
+	left := append(m.spare[:0], r[:size]...)
+	m.spare = left
+	right := r[size:]
+	i, j, k := 0, 0, 0
+	for i < len(left) && j < len(right) {
+		if right[j] < left[i] {
+			r[k] = right[j]
+			j++
+		} else {
+			r[k] = left[i]
+			i++
+		}
+		k++
+	}
+	copy(r[k:], left[i:])
+}
+
+// sortedProcesses returns the declared processes in ascending order:
+// procs itself when its runs follow each other in order, as they do
+// when processes are declared in ascending order, else a sorted copy.
+func (m *Model) sortedProcesses() []ProcessID {
+	for rest := m.procs; len(rest) > 0; {
+		n := 1 << (bits.Len(uint(len(rest))) - 1)
+		if n < len(rest) && rest[n-1] > rest[n] {
+			out := slices.Clone(m.procs)
+			slices.Sort(out)
+			return out
+		}
+		rest = rest[n:]
+	}
+	return m.procs
 }
 
 // AddFlow appends a flow to the model, implicitly declaring its source
@@ -212,31 +303,29 @@ func (m *Model) AddFlow(f Flow) {
 // Processes returns the declared process identifiers in ascending
 // order.
 func (m *Model) Processes() []ProcessID {
-	out := make([]ProcessID, 0, len(m.processes))
-	for p := range m.processes {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := make([]ProcessID, len(m.procs))
+	copy(out, m.sortedProcesses())
 	return out
 }
 
 // NumProcesses returns the number of declared processes.
-func (m *Model) NumProcesses() int { return len(m.processes) }
+func (m *Model) NumProcesses() int { return len(m.procs) }
 
 // Flows returns the model's flows sorted by (Order, Source, Target).
 // The slice is a copy; mutating it does not affect the model.
 func (m *Model) Flows() []Flow {
 	out := make([]Flow, len(m.flows))
 	copy(out, m.flows)
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
+	// The same pdqsort as sort.Slice, so flows equal in all three
+	// keys keep the order they always had, without its reflection.
+	slices.SortFunc(out, func(a, b Flow) int {
 		if a.Order != b.Order {
-			return a.Order < b.Order
+			return cmp.Compare(a.Order, b.Order)
 		}
 		if a.Source != b.Source {
-			return a.Source < b.Source
+			return cmp.Compare(a.Source, b.Source)
 		}
-		return a.Target < b.Target
+		return cmp.Compare(a.Target, b.Target)
 	})
 	return out
 }
@@ -271,31 +360,28 @@ func (m *Model) FlowsInto(p ProcessID) []Flow {
 // Sources returns the processes with no incoming flows (the
 // application's initial nodes), ascending.
 func (m *Model) Sources() []ProcessID {
-	hasInput := make(map[ProcessID]bool)
-	for _, f := range m.flows {
-		if f.Target != SystemOutput {
-			hasInput[f.Target] = true
-		}
-	}
-	var out []ProcessID
-	for _, p := range m.Processes() {
-		if !hasInput[p] {
-			out = append(out, p)
-		}
-	}
-	return out
+	return m.processesWithout(func(f Flow) ProcessID { return f.Target })
 }
 
 // Sinks returns the processes with no outgoing flows (final nodes),
 // ascending.
 func (m *Model) Sinks() []ProcessID {
-	hasOutput := make(map[ProcessID]bool)
+	return m.processesWithout(func(f Flow) ProcessID { return f.Source })
+}
+
+// processesWithout returns, ascending, the processes that are no
+// flow's end: end(f) for every flow f.
+func (m *Model) processesWithout(end func(Flow) ProcessID) []ProcessID {
+	procs := m.sortedProcesses()
+	ended := make([]bool, len(procs))
 	for _, f := range m.flows {
-		hasOutput[f.Source] = true
+		if i, ok := slices.BinarySearch(procs, end(f)); ok {
+			ended[i] = true
+		}
 	}
 	var out []ProcessID
-	for _, p := range m.Processes() {
-		if !hasOutput[p] {
+	for i, p := range procs {
+		if !ended[i] {
 			out = append(out, p)
 		}
 	}
@@ -325,25 +411,20 @@ func (m *Model) TotalPackages(s int) int {
 // Orders returns the distinct flow ordering numbers of the model,
 // ascending. The emulator's schedule releases flows order by order.
 func (m *Model) Orders() []int {
-	seen := make(map[int]bool)
-	for _, f := range m.flows {
-		seen[f.Order] = true
+	out := make([]int, len(m.flows))
+	for i, f := range m.flows {
+		out[i] = f.Order
 	}
-	out := make([]int, 0, len(seen))
-	for t := range seen {
-		out = append(out, t)
-	}
-	sort.Ints(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Clone returns a deep copy of the model.
 func (m *Model) Clone() *Model {
-	c := NewModel(m.name)
-	c.nominal = m.nominal
-	for p := range m.processes {
-		c.processes[p] = true
+	return &Model{
+		name:    m.name,
+		procs:   slices.Clone(m.procs),
+		flows:   append([]Flow(nil), m.flows...),
+		nominal: m.nominal,
 	}
-	c.flows = append([]Flow(nil), m.flows...)
-	return c
 }

@@ -73,6 +73,22 @@ func TestParseFlowName(t *testing.T) {
 	}
 }
 
+// TestParseFlowNameSystemOutput checks that a flow to the system
+// output, which Name renders with target "P-1", parses back, and that
+// no other negative target does.
+func TestParseFlowNameSystemOutput(t *testing.T) {
+	want := Flow{Source: 2, Target: SystemOutput, Items: 36, Order: 4, Ticks: 10}
+	f, err := ParseFlowName(2, want.Name())
+	if err != nil || f != want {
+		t.Fatalf("ParseFlowName(%q) = %+v, %v; want %+v", want.Name(), f, err, want)
+	}
+	for _, name := range []string{"P-2_36_4_10", "P-01_36_4_10", "P-0_36_4_10"} {
+		if _, err := ParseFlowName(2, name); err == nil {
+			t.Errorf("ParseFlowName(%q) succeeded, want error", name)
+		}
+	}
+}
+
 func TestParseFlowNameErrors(t *testing.T) {
 	bad := []string{
 		"",

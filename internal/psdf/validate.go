@@ -1,8 +1,9 @@
 package psdf
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // ValidationError describes one well-formedness violation found in a
@@ -80,123 +81,178 @@ func (es ValidationErrors) Error() string {
 //
 // A nil return means the model is valid. Otherwise the returned error
 // is a ValidationErrors listing every violation.
+//
+// Processes are addressed by their position in the sorted process
+// list, and flows are grouped by source in one counting pass, so a
+// pass costs O(F log P) for F flows and P processes, and a valid model
+// costs two scratch allocations (three when its process runs need
+// sorting).
 func (m *Model) Validate() error {
 	var errs ValidationErrors
 	add := func(code string, f *Flow, format string, args ...interface{}) {
 		errs = append(errs, &ValidationError{Code: code, Flow: f, Message: fmt.Sprintf(format, args...)})
 	}
 
-	if len(m.processes) == 0 {
+	procs := m.sortedProcesses()
+	if len(procs) == 0 {
 		add(CodeNoProcesses, nil, "model %q has no processes", m.name)
 	}
 	if len(m.flows) == 0 {
 		add(CodeNoFlows, nil, "model %q has no flows", m.name)
 	}
 
-	type key struct {
-		src, dst ProcessID
-		order    int
+	// Scratch. Per flow: its source's and target's positions (-1 for
+	// the system output, and for a source that is no process). The
+	// flows to processes, grouped by source in byFrom: group g ends at
+	// start[g] and begins where group g-1 ends; flows from a source
+	// that is no process form group nP. Per process: the input flow
+	// of least order (-1 when none), a DFS stack and flags.
+	nP, nF := len(procs), len(m.flows)
+	ix := make([]int32, 3*nF+3*nP+1)
+	carve := func(n int) []int32 {
+		s := ix[:n:n]
+		ix = ix[n:]
+		return s
 	}
-	seen := make(map[key]bool)
-	for i := range m.flows {
-		f := m.flows[i]
-		if f.Items <= 0 {
-			add(CodeBadItems, &m.flows[i], "non-positive data item count %d", f.Items)
+	src, dst, byFrom := carve(nF), carve(nF), carve(nF)
+	start, minIn, stack := carve(nP+1), carve(nP), carve(nP)
+	const touched, fed, reached = 1, 2, 4
+	flag := make([]uint8, nP+nF)
+	dup := flag[nP:] // per flow: repeats an earlier (source, target, order)
+
+	pos := func(p ProcessID) int32 {
+		if k, ok := slices.BinarySearch(procs, p); ok {
+			return int32(k)
 		}
-		if f.Order < 0 {
-			add(CodeBadOrder, &m.flows[i], "negative ordering number %d", f.Order)
+		return -1
+	}
+	group := func(i int) int32 {
+		if src[i] < 0 {
+			return int32(nP)
 		}
-		if f.Ticks < 0 {
-			add(CodeBadTicks, &m.flows[i], "negative per-package tick count %d", f.Ticks)
-		}
-		if f.Source == f.Target {
-			add(CodeSelfLoop, &m.flows[i], "self-loop")
+		return src[i]
+	}
+	for k := range minIn {
+		minIn[k] = -1
+	}
+	for i, f := range m.flows {
+		src[i], dst[i] = pos(f.Source), -1
+		if s := src[i]; s >= 0 {
+			flag[s] |= touched
 		}
 		if f.Target == SystemOutput {
 			continue
 		}
-		k := key{f.Source, f.Target, f.Order}
-		if seen[k] {
-			add(CodeDuplicateFlow, &m.flows[i], "duplicate flow (same source, target and ordering number)")
+		d := pos(f.Target)
+		dst[i] = d
+		flag[d] |= touched | fed
+		if j := minIn[d]; j < 0 || f.Order < m.flows[j].Order {
+			minIn[d] = int32(i)
 		}
-		seen[k] = true
+		start[group(i)]++
 	}
-
-	// Isolated processes: declared but carrying no flow at all.
-	if len(m.flows) > 0 {
-		touched := make(map[ProcessID]bool)
-		for _, f := range m.flows {
-			touched[f.Source] = true
-			if f.Target != SystemOutput {
-				touched[f.Target] = true
+	// Counting sort by source: start[g] becomes where group g begins,
+	// and the fill below advances it to where the group ends.
+	sum := int32(0)
+	for g, n := range start {
+		start[g], sum = sum, sum+n
+	}
+	for i := range m.flows {
+		if dst[i] >= 0 {
+			g := group(i)
+			byFrom[start[g]] = int32(i)
+			start[g]++
+		}
+	}
+	// Within a group, order by (target, order, index): the flows
+	// sharing a (source, target, order) are then adjacent, the
+	// earliest first, and every later one is a duplicate.
+	for g := range start {
+		run := byFrom[groupBegin(start, g):start[g]]
+		if len(run) < 2 {
+			continue
+		}
+		slices.SortFunc(run, func(a, b int32) int {
+			if dst[a] != dst[b] {
+				return int(dst[a] - dst[b])
+			}
+			if oa, ob := m.flows[a].Order, m.flows[b].Order; oa != ob {
+				return cmp.Compare(oa, ob)
+			}
+			return int(a - b)
+		})
+		for k := 1; k < len(run); k++ {
+			a, b := run[k-1], run[k]
+			if dst[a] == dst[b] && m.flows[a].Order == m.flows[b].Order {
+				dup[b] = 1
 			}
 		}
-		for _, p := range m.Processes() {
-			if !touched[p] {
+	}
+
+	for i := range m.flows {
+		f := &m.flows[i]
+		if f.Items <= 0 {
+			add(CodeBadItems, f, "non-positive data item count %d", f.Items)
+		}
+		if f.Order < 0 {
+			add(CodeBadOrder, f, "negative ordering number %d", f.Order)
+		}
+		if f.Ticks < 0 {
+			add(CodeBadTicks, f, "negative per-package tick count %d", f.Ticks)
+		}
+		if f.Source == f.Target {
+			add(CodeSelfLoop, f, "self-loop")
+		}
+		if dup[i] != 0 {
+			add(CodeDuplicateFlow, f, "duplicate flow (same source, target and ordering number)")
+		}
+	}
+
+	if nF > 0 {
+		// Isolated processes: declared but carrying no flow at all.
+		for k, p := range procs {
+			if flag[k]&touched == 0 {
 				add(CodeIsolated, nil, "process %s is isolated (no incoming or outgoing flow)", p)
 			}
 		}
-	}
 
-	// Reachability from initial nodes.
-	if len(m.flows) > 0 {
-		reach := make(map[ProcessID]bool)
-		var frontier []ProcessID
-		for _, p := range m.Sources() {
-			reach[p] = true
-			frontier = append(frontier, p)
-		}
-		adj := make(map[ProcessID][]ProcessID)
-		for _, f := range m.flows {
-			if f.Target != SystemOutput {
-				adj[f.Source] = append(adj[f.Source], f.Target)
+		// Reachability from initial nodes, the processes nothing feeds.
+		top := 0
+		for k := range procs {
+			if flag[k]&fed == 0 {
+				flag[k] |= reached
+				stack[top] = int32(k)
+				top++
 			}
 		}
-		for len(frontier) > 0 {
-			p := frontier[len(frontier)-1]
-			frontier = frontier[:len(frontier)-1]
-			for _, q := range adj[p] {
-				if !reach[q] {
-					reach[q] = true
-					frontier = append(frontier, q)
+		for top > 0 {
+			top--
+			k := stack[top]
+			for _, i := range byFrom[groupBegin(start, int(k)):start[k]] {
+				if d := dst[i]; flag[d]&reached == 0 {
+					flag[d] |= reached
+					stack[top] = d
+					top++
 				}
 			}
 		}
-		var unreachable []ProcessID
-		for _, p := range m.Processes() {
-			if !reach[p] {
-				unreachable = append(unreachable, p)
+		for k, p := range procs {
+			if flag[k]&reached == 0 {
+				add(CodeUnreachable, nil, "process %s is not reachable from any initial node", p)
 			}
-		}
-		sort.Slice(unreachable, func(i, j int) bool { return unreachable[i] < unreachable[j] })
-		for _, p := range unreachable {
-			add(CodeUnreachable, nil, "process %s is not reachable from any initial node", p)
 		}
 	}
 
 	// Ordering consistency: a process's output flow must not be
 	// strictly ordered before all flows feeding that process, because
 	// then it could never have data to send. (Sources are exempt.)
-	inOrders := make(map[ProcessID][]int)
-	for _, f := range m.flows {
-		if f.Target != SystemOutput {
-			inOrders[f.Target] = append(inOrders[f.Target], f.Order)
-		}
-	}
 	for i := range m.flows {
-		f := m.flows[i]
-		ins := inOrders[f.Source]
-		if len(ins) == 0 {
+		if src[i] < 0 || minIn[src[i]] < 0 {
 			continue // source process: always has data
 		}
-		minIn := ins[0]
-		for _, t := range ins[1:] {
-			if t < minIn {
-				minIn = t
-			}
-		}
-		if f.Order < minIn {
-			add(CodeOrderTooEarly, &m.flows[i], "ordered (%d) before every flow feeding its source (earliest input order %d)", f.Order, minIn)
+		f, minOrder := &m.flows[i], m.flows[minIn[src[i]]].Order
+		if f.Order < minOrder {
+			add(CodeOrderTooEarly, f, "ordered (%d) before every flow feeding its source (earliest input order %d)", f.Order, minOrder)
 		}
 	}
 
@@ -204,4 +260,13 @@ func (m *Model) Validate() error {
 		return nil
 	}
 	return errs
+}
+
+// groupBegin returns where group g of a counting sort begins, given
+// each group's end in ends.
+func groupBegin(ends []int32, g int) int32 {
+	if g == 0 {
+		return 0
+	}
+	return ends[g-1]
 }

@@ -92,3 +92,45 @@ func reencode(doc string, n int) string {
 	}
 	return decl + "\n<!-- request " + strconv.Itoa(n) + " -->\n" + strings.Join(lines, "\n")
 }
+
+// BenchmarkParseCorpus measures ParsePSDF and ParsePSM over the first
+// 64 servable conformance pairs, the hot set of the serving
+// benchmark's warm workload; one op parses one pair's two schemes.
+func BenchmarkParseCorpus(b *testing.B) {
+	cases, err := conform.ServableCases(1, 64, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	psdfs, psms := make([][]byte, len(cases)), make([][]byte, len(cases))
+	size := 0
+	for i, c := range cases {
+		if psdfs[i], psms[i], err = c.Schemes(); err != nil {
+			b.Fatal(err)
+		}
+		size += len(psdfs[i]) + len(psms[i])
+	}
+	for _, bc := range []struct {
+		name  string
+		parse func(i int) error
+	}{
+		{"psdf", func(i int) error { _, err := schema.ParsePSDF(psdfs[i]); return err }},
+		{"psm", func(i int) error { _, err := schema.ParsePSM(psms[i]); return err }},
+		{"pair", func(i int) error {
+			if _, err := schema.ParsePSDF(psdfs[i]); err != nil {
+				return err
+			}
+			_, err := schema.ParsePSM(psms[i])
+			return err
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := bc.parse(i % len(cases)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	b.Logf("%d bytes of XML per pair on average", size/len(cases))
+}

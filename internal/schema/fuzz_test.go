@@ -136,8 +136,8 @@ func TestOracleSeeds(t *testing.T) {
 // accepted data.
 func checkOracle(t testing.TB, data []byte) bool {
 	t.Helper()
-	decoded, decodeErr := decodeSchema(data)
-	scanned, ok := scanSchema(data)
+	decoded, decodeErr := decodeSchema(string(data))
+	scanned, ok := scanSchema(string(data))
 	if ok {
 		if decodeErr != nil {
 			t.Fatalf("scanner accepted a document the decoder refuses: %v", decodeErr)

@@ -305,78 +305,83 @@ var hexVal = func() (t [256]int8) {
 	return t
 }()
 
-// readString reads the string at body[i:] in one pass. A string
-// without escapes is copied out of body; any other is decoded into
-// *scratch first, which keeps its capacity for the next string.
+// unescaped maps the byte after a backslash to the byte the escape
+// stands for, and every byte that does not form a one-byte escape to
+// zero.
+var unescaped = [256]byte{
+	'"': '"', '\\': '\\', '/': '/',
+	'b': '\b', 'f': '\f', 'n': '\n', 'r': '\r', 't': '\t',
+}
+
+// readString reads the string at body[i:] in one pass, copying as it
+// goes: a string without escapes is then read out of body; any other
+// is decoded into *scratch, which keeps its capacity for the next
+// string. The loop tests each byte against the plain table only; the
+// escapes json.Marshal writes for '<', '>' and '&' take a shortcut.
 func readString(body []byte, i int, scratch *[]byte) (string, int, bool) {
 	if i == len(body) || body[i] != '"' {
 		return "", i, false
 	}
 	i++
 	start := i
-	out := (*scratch)[:0]
-	run := i // start of the bytes not yet appended to out
-	for {
-		for i < len(body) && plain[body[i]] {
-			i++
+	// Every escape is at least as long as what it decodes to, so the
+	// output never overtakes the input and fits in len(body) bytes.
+	out := (*scratch)[:len(body)]
+	w := 0
+	for i < len(body) {
+		c := body[i]
+		if plain[c] {
+			out[w] = c
+			i, w = i+1, w+1
+			continue
 		}
-		if i == len(body) {
-			return "", i, false
-		}
-		switch c := body[i]; {
+		switch {
 		case c == '"':
-			if run == start {
+			if w == i-start {
 				return string(body[start:i]), i + 1, true
 			}
-			out = append(out, body[run:i]...)
-			*scratch = out
-			return string(out), i + 1, true
+			return string(out[:w]), i + 1, true
 		case c == '\\':
 			if i+1 == len(body) {
 				return "", i, false
 			}
-			out = append(out, body[run:i]...)
-			switch e := body[i+1]; e {
-			case '"', '\\', '/':
-				out = append(out, e)
-			case 'b':
-				out = append(out, '\b')
-			case 'f':
-				out = append(out, '\f')
-			case 'n':
-				out = append(out, '\n')
-			case 'r':
-				out = append(out, '\r')
-			case 't':
-				out = append(out, '\t')
-			case 'u':
-				if i+6 > len(body) {
-					return "", i, false
-				}
-				h0, h1, h2, h3 := hexVal[body[i+2]], hexVal[body[i+3]], hexVal[body[i+4]], hexVal[body[i+5]]
-				r := rune(h0)<<12 | rune(h1)<<8 | rune(h2)<<4 | rune(h3)
-				// Surrogate halves are left to encoding/json, which
-				// pairs or replaces them.
-				if h0|h1|h2|h3 < 0 || 0xD800 <= r && r < 0xE000 {
-					return "", i, false
-				}
-				out = utf8.AppendRune(out, r)
-				i += 4
-			default:
-				return "", i, false
-			}
-			i += 2
-			run = i
-		case c < 0x20:
-			return "", i, false
-		default:
-			if r, size := utf8.DecodeRune(body[i:]); r != utf8.RuneError || size > 1 {
-				i += size
+			if e := unescaped[body[i+1]]; e != 0 {
+				out[w] = e
+				i, w = i+2, w+1
 				continue
 			}
+			if body[i+1] != 'u' || i+6 > len(body) {
+				return "", i, false
+			}
+			if body[i+2] == '0' && body[i+3] == '0' {
+				// \u00XX with XX below 0x80: one ASCII byte.
+				if h, l := hexVal[body[i+4]], hexVal[body[i+5]]; h|l >= 0 && h < 8 {
+					out[w] = byte(h<<4 | l)
+					i, w = i+6, w+1
+					continue
+				}
+			}
+			h0, h1, h2, h3 := hexVal[body[i+2]], hexVal[body[i+3]], hexVal[body[i+4]], hexVal[body[i+5]]
+			r := rune(h0)<<12 | rune(h1)<<8 | rune(h2)<<4 | rune(h3)
+			// Surrogate halves are left to encoding/json, which
+			// pairs or replaces them.
+			if h0|h1|h2|h3 < 0 || 0xD800 <= r && r < 0xE000 {
+				return "", i, false
+			}
+			w += utf8.EncodeRune(out[w:], r)
+			i += 6
+		case c < ' ':
 			return "", i, false
+		default:
+			r, size := utf8.DecodeRune(body[i:])
+			if r == utf8.RuneError && size == 1 {
+				return "", i, false
+			}
+			w += copy(out[w:], body[i:i+size])
+			i += size
 		}
 	}
+	return "", i, false
 }
 
 // readInt64 reads a plain integer at body[i:]: an optional minus sign

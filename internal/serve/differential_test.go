@@ -28,10 +28,10 @@ func TestDifferentialServiceVsCLI(t *testing.T) {
 	s := New(Config{Workers: 4, Queue: 8, CacheEntries: 64})
 	h := s.Handler()
 
-	// ≥200 cases must actually serve; cases whose schemes the XML
-	// round trip cannot express (external sinks) are asserted to fail
-	// with the right code but do not count. The generator yields
-	// roughly three servable cases in four, so the cap is generous.
+	// ≥200 cases must actually serve; cases whose schemes do not
+	// parse back or fail preflight are asserted to fail with the right
+	// code but do not count. The generator yields roughly three
+	// servable cases in four, so the cap is generous.
 	const wantServed = 200
 	const maxCases = 600
 	var served, hits, skipped int
@@ -47,9 +47,8 @@ func TestDifferentialServiceVsCLI(t *testing.T) {
 		}
 		rec := post(h, req)
 
-		// Constructs the scheme round trip cannot express (external
-		// sinks inherited from the corpus) must be shed as coded
-		// scheme rejections; everything else must serve.
+		// A scheme that does not parse back must be shed as a coded
+		// scheme rejection; everything else must serve.
 		if _, perr := schema.ParsePSDF(psdfXML); perr != nil {
 			if rec.Code != http.StatusBadRequest {
 				t.Fatalf("case %d (%s): unparseable scheme got status %d", i, c.Origin, rec.Code)

@@ -27,13 +27,13 @@ import (
 
 // rawHasher is a pooled scratch for deriving raw keys with zero
 // steady-state heap allocations: the SHA-256 state is reused across
-// requests, strings are fed chunk-wise through the scratch buffer
-// (avoiding []byte(s) conversions), and the digest lands in the
-// embedded key array.
+// requests, strings are fed through the scratch buffer in writes of
+// whole blocks (avoiding []byte(s) conversions), and the digest lands
+// in the embedded key array.
 type rawHasher struct {
 	h   hash.Hash
 	key [sha256.Size]byte
-	buf [96]byte
+	buf [4 << 10]byte
 }
 
 var rawHashers = sync.Pool{New: func() any { return &rawHasher{h: sha256.New()} }}
@@ -85,9 +85,9 @@ func (rh *rawHasher) requestKey(req *EstimateRequest) []byte {
 // RawProbe answers an estimate request from the raw-request index
 // when an identical request has been served before: the response
 // bytes, ready to write verbatim. The probe allocates nothing in
-// steady state — it is the first thing the /estimate handler tries
-// after decoding, and the serving benchmark's cache_hit_bytes
-// measurement. Exposed for tests and the load harness.
+// steady state. The /estimate handler derives the same key itself,
+// once per request, for its probe and its store; RawProbe is the
+// probe alone, for tests and the load harness.
 func (s *Server) RawProbe(req *EstimateRequest) ([]byte, bool) {
 	if s.rawIndex == nil {
 		return nil, false
@@ -96,14 +96,4 @@ func (s *Server) RawProbe(req *EstimateRequest) ([]byte, bool) {
 	body, ok := s.rawIndex.GetBytes(rh.requestKey(req))
 	rawHashers.Put(rh)
 	return body, ok
-}
-
-// rawStore records a 200 response under the request's raw key.
-func (s *Server) rawStore(req *EstimateRequest, body []byte) {
-	if s.rawIndex == nil {
-		return
-	}
-	rh := rawHashers.Get().(*rawHasher)
-	s.rawIndex.PutBytes(rh.requestKey(req), body)
-	rawHashers.Put(rh)
 }

@@ -43,6 +43,7 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -487,12 +488,12 @@ func decodeRequest(req *EstimateRequest) (*parsed, outcome) {
 	if req.PSDF == "" || req.PSM == "" {
 		return nil, errOutcome(http.StatusBadRequest, CodeBadRequest, "psdf and psm schemes are required", nil)
 	}
-	m, err := schema.ParsePSDF([]byte(req.PSDF))
+	m, err := schema.ParsePSDFString(req.PSDF)
 	if err != nil {
 		ds, _ := analyze.FromError(err)
 		return nil, errOutcome(http.StatusBadRequest, CodeBadScheme, "psdf: "+err.Error(), ds)
 	}
-	plat, err := schema.ParsePSM([]byte(req.PSM))
+	plat, err := schema.ParsePSMString(req.PSM)
 	if err != nil {
 		ds, _ := analyze.FromError(err)
 		return nil, errOutcome(http.StatusBadRequest, CodeBadScheme, "psm: "+err.Error(), ds)
@@ -699,8 +700,9 @@ func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFun
 // probe ("raw_probe" span) short-circuits a verbatim repeat of an
 // already-served request before any scheme parsing; everything else
 // falls through to the canonical pipeline, whose 200s feed the raw
-// index for next time. Batch items never consult the raw index — they
-// deduplicate against each other by canonical key instead.
+// index for next time, under the key the probe derived: one hash of
+// the request per request. Batch items never consult the raw index —
+// they deduplicate against each other by canonical key instead.
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		fail(w, http.StatusServiceUnavailable, CodeDraining, "server is draining", nil)
@@ -720,9 +722,13 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tr.End(sp)
+	var rawKey [sha256.Size]byte
 	if s.rawIndex != nil {
 		sp = tr.Span("raw_probe")
-		if body, ok := s.RawProbe(&req); ok {
+		rh := rawHashers.Get().(*rawHasher)
+		copy(rawKey[:], rh.requestKey(&req))
+		rawHashers.Put(rh)
+		if body, ok := s.rawIndex.GetBytes(rawKey[:]); ok {
 			tr.Attr(sp, "result", "hit")
 			tr.End(sp)
 			s.metrics.RawHits.Inc()
@@ -746,7 +752,9 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		fail(w, out.status, out.code, out.msg, out.diags)
 		return
 	}
-	s.rawStore(&req, out.body)
+	if s.rawIndex != nil {
+		s.rawIndex.PutBytes(rawKey[:], out.body)
+	}
 	sp = tr.Span("serialize")
 	writeReport(w, out.body, out.cache)
 	tr.End(sp)

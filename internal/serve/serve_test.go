@@ -126,9 +126,8 @@ func TestEstimateScenarioGoldens(t *testing.T) {
 		}
 		rec := post(h, body(t, EstimateRequest{PSDF: string(psdfXML), PSM: string(psmXML)}))
 		if _, perr := schema.ParsePSDF(psdfXML); perr != nil {
-			// Constructs the scheme round trip cannot express (the
-			// roles scenario's external "out" sink) must come back as
-			// a coded scheme rejection, not a 500 or a bogus report.
+			// A scheme that does not parse back must come back as a
+			// coded scheme rejection, not a 500 or a bogus report.
 			if rec.Code != http.StatusBadRequest {
 				t.Errorf("%s: unparseable scheme served status %d", doc.Model.Name(), rec.Code)
 			}
@@ -145,8 +144,10 @@ func TestEstimateScenarioGoldens(t *testing.T) {
 		}
 		served++
 	}
-	if served == 0 {
-		t.Fatal("no scenario was actually served")
+	// Every scenario renders to schemes that parse back, the roles
+	// scenario's flow to the system output included.
+	if served != len(docs) {
+		t.Fatalf("%d of %d scenarios served", served, len(docs))
 	}
 }
 

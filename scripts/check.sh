@@ -32,6 +32,11 @@ go test -shuffle=on -count=1 ./...
 go test -run '^$' -fuzz '^FuzzParsePSDF$' -fuzztime 15s -fuzzminimizetime 5x ./internal/schema
 go test -run '^$' -fuzz '^FuzzParsePSM$' -fuzztime 15s -fuzzminimizetime 5x ./internal/schema
 
+# Differential fuzz smoke for the PSDF model: the map-free process set
+# and Validate must equal their map-based oracles exactly (the same
+# slices, and the same errors in the same order) on arbitrary models.
+go test -run '^$' -fuzz '^FuzzModelValidate$' -fuzztime 15s -fuzzminimizetime 5x ./internal/psdf
+
 # Differential fuzz smoke for the cache key: two parsed scheme pairs
 # must share a core.Key exactly when their m2t renderings are equal.
 go test -run '^$' -fuzz '^FuzzKeyMatchesRendering$' -fuzztime 15s -fuzzminimizetime 5x ./internal/core
