@@ -2,9 +2,11 @@ package conform
 
 import (
 	"fmt"
+	"slices"
 
 	"segbus/internal/core"
 	"segbus/internal/dsl"
+	"segbus/internal/psdf"
 	"segbus/internal/realplat"
 	"segbus/internal/schema"
 )
@@ -12,10 +14,14 @@ import (
 // ServableCases returns the first n cases of the seed's generator
 // stream that a serving stack can actually estimate: their canonical
 // schemes render, survive the XML round trip (schema.ParsePSDF) and
-// pass core.Preflight. These are exactly the cases POST /estimate
-// answers 200 for, so load harnesses built on them can treat any
-// non-200 as a defect instead of filtering expected rejections at
-// request time.
+// pass core.Preflight. POST /estimate answers 200 for each of them, so
+// load harnesses built on them can treat any non-200 as a defect
+// instead of filtering expected rejections at request time.
+//
+// Cases with a flow to the system output are skipped although they
+// serve, so that each seed keeps selecting the corpus it selected
+// before their schemes parsed: the load harnesses' and the serving
+// benchmark's baselines were measured on it.
 //
 // The stream is deterministic per (seed, corpus): the same arguments
 // always select the same cases in the same order. corpus may be nil.
@@ -33,6 +39,9 @@ func ServableCases(seed int64, n int, corpus []*dsl.Document) ([]*Case, error) {
 	for attempt := 0; attempt < maxAttempts && len(out) < n; attempt++ {
 		c := g.Next()
 		c.refined = realplat.DefaultOverheads
+		if slices.ContainsFunc(c.Doc.Model.Flows(), func(f psdf.Flow) bool { return f.Target == psdf.SystemOutput }) {
+			continue
+		}
 		psdfXML, _, err := c.Schemes()
 		if err != nil {
 			continue

@@ -2,15 +2,17 @@ package conform
 
 import (
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"segbus/internal/core"
+	"segbus/internal/psdf"
 	"segbus/internal/schema"
 )
 
 // TestServableCases checks the filter's contract: every returned case
-// really is servable, the selection is deterministic per seed, and
-// distinct seeds diverge.
+// really is servable and has no flow to the system output, the
+// selection is deterministic per seed, and distinct seeds diverge.
 func TestServableCases(t *testing.T) {
 	corpus, err := LoadCorpusDir(filepath.Join("..", "..", "testdata", "scenarios"))
 	if err != nil {
@@ -67,6 +69,18 @@ func TestServableCases(t *testing.T) {
 	}
 	if same == len(cases) {
 		t.Error("seeds 3 and 4 produced identical case streams")
+	}
+
+	// A few generated models have a flow to the system output; none
+	// may pass.
+	plain, err := ServableCases(1, 64, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range plain {
+		if slices.ContainsFunc(c.Doc.Model.Flows(), func(f psdf.Flow) bool { return f.Target == psdf.SystemOutput }) {
+			t.Errorf("seed 1 case %d (%s): a flow to the system output passed the filter", i, c.Origin)
+		}
 	}
 
 	if _, err := ServableCases(1, 0, nil); err == nil {
