@@ -30,3 +30,17 @@ func TestFreshMachineRunAllocs(t *testing.T) {
 		t.Errorf("fresh machine run allocates %v, want at most %d", fresh, freshRunAllocs)
 	}
 }
+
+// TestReportAppendJSONAllocs fences the MP3 report's encoding: into a
+// buffer with enough capacity, AppendJSON allocates nothing.
+func TestReportAppendJSONAllocs(t *testing.T) {
+	r, err := emulator.Run(apps.MP3Model(), apps.MP3Platform3(36), emulator.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := r.AppendJSON(nil)
+	allocs := testing.AllocsPerRun(100, func() { buf = r.AppendJSON(buf[:0]) })
+	if allocs != 0 {
+		t.Errorf("AppendJSON into a large enough buffer allocates %v times, want 0", allocs)
+	}
+}

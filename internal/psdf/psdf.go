@@ -32,7 +32,7 @@ import (
 type ProcessID int
 
 // String returns the conventional process name, e.g. "P3".
-func (p ProcessID) String() string { return fmt.Sprintf("P%d", int(p)) }
+func (p ProcessID) String() string { return "P" + strconv.Itoa(int(p)) }
 
 // SystemOutput is the pseudo-target used by flows that leave the
 // system (towards the platform output) rather than feed another

@@ -2,6 +2,7 @@ package psdf
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -14,6 +15,8 @@ func TestProcessIDString(t *testing.T) {
 		want string
 	}{
 		{0, "P0"}, {1, "P1"}, {14, "P14"}, {137, "P137"},
+		{SystemOutput, "P-1"}, {-42, "P-42"},
+		{math.MaxInt, fmt.Sprintf("P%d", math.MaxInt)}, {math.MinInt, fmt.Sprintf("P%d", math.MinInt)},
 	}
 	for _, c := range cases {
 		if got := c.id.String(); got != c.want {

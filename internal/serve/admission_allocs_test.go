@@ -40,12 +40,13 @@ func TestColdEstimateAllocs(t *testing.T) {
 	}
 }
 
-// coldEstimateAllocs is the measured 336 plus slack. It was 774 when
+// coldEstimateAllocs is the measured 301 plus slack. It was 336 while
+// the report was encoded by encoding/json's MarshalIndent, 774 when
 // scheme parsing, model validation and the process-set readers still
 // built maps, and 1,041 at the parent of the shared admission; the
 // emulator's former prologue alone added 139 allocations (MP3 model
 // check 76, platform 20, mapping 27, roles 4, extraction 12).
-const coldEstimateAllocs = 360
+const coldEstimateAllocs = 325
 
 // TestCanonicalHitAllocs fences one canonical hit of the golden MP3
 // pair through the handler — decode, raw key, parse, validation, key

@@ -44,18 +44,18 @@ func DecodeEstimate(body []byte, req *EstimateRequest) error {
 	return json.NewDecoder(bytes.NewReader(body)).Decode(req)
 }
 
-// decodeBufs pools the buffers request bodies are read into and
-// escaped strings decoded into. Buffers that grew past maxPooledBuf
-// are dropped rather than pinned by the pool.
-var decodeBufs = sync.Pool{New: func() any { return new([]byte) }}
+// scratchBufs pools the buffers request bodies are read into, escaped
+// strings decoded into and reports encoded into. Buffers that grew
+// past maxPooledBuf are dropped rather than pinned by the pool.
+var scratchBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 const maxPooledBuf = 64 << 10
 
-// putDecodeBuf returns buf to decodeBufs through its holder bp.
-func putDecodeBuf(bp *[]byte, buf []byte) {
+// putScratchBuf returns buf to scratchBufs through its holder bp.
+func putScratchBuf(bp *[]byte, buf []byte) {
 	if cap(buf) <= maxPooledBuf {
 		*bp = buf
-		decodeBufs.Put(bp)
+		scratchBufs.Put(bp)
 	}
 }
 
@@ -67,7 +67,7 @@ func putDecodeBuf(bp *[]byte, buf []byte) {
 // itself through encoding/json, which succeeds exactly when the first
 // JSON value ends within those bytes.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, req *EstimateRequest) error {
-	bp := decodeBufs.Get().(*[]byte)
+	bp := scratchBufs.Get().(*[]byte)
 	buf, err := readBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes),
 		(*bp)[:0], min(r.ContentLength, s.cfg.MaxBodyBytes))
 	if err == nil {
@@ -76,7 +76,7 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, req *Estimat
 		err = json.NewDecoder(io.MultiReader(bytes.NewReader(buf), errReader{err})).Decode(req)
 	}
 	// req holds copies, never views of buf: the buffer is free again.
-	putDecodeBuf(bp, buf)
+	putScratchBuf(bp, buf)
 	return err
 }
 
@@ -136,8 +136,8 @@ const (
 // decodeFast is DecodeEstimate's single-pass reader. It reports
 // whether it read body, and writes req only when it did.
 func decodeFast(body []byte, req *EstimateRequest) bool {
-	scratch := decodeBufs.Get().(*[]byte)
-	defer func() { putDecodeBuf(scratch, *scratch) }()
+	scratch := scratchBufs.Get().(*[]byte)
+	defer func() { putScratchBuf(scratch, *scratch) }()
 	// No decoded string is longer than body: size the scratch once.
 	if cap(*scratch) < len(body) {
 		*scratch = make([]byte, 0, len(body))

@@ -661,7 +661,7 @@ func (s *Server) emulate(ctx context.Context, tr *reqtrace.Trace, parent reqtrac
 			}
 		})
 		if runErr == nil {
-			body, runErr = rep.JSON()
+			body = encodeReport(rep)
 		}
 		tr.End(sp)
 	})
@@ -685,6 +685,18 @@ func (s *Server) emulate(ctx context.Context, tr *reqtrace.Trace, parent reqtrac
 	}
 	s.metrics.CacheMisses.Inc()
 	return outcome{status: http.StatusOK, cache: "miss", body: body}
+}
+
+// encodeReport renders rep's report JSON through a pooled scratch
+// buffer. The body it returns is an exact-length copy, with no spare
+// capacity: the cache and the raw index retain it.
+func encodeReport(rep *emulator.Report) []byte {
+	bp := scratchBufs.Get().(*[]byte)
+	buf := rep.AppendJSON((*bp)[:0])
+	body := make([]byte, len(buf))
+	copy(body, buf)
+	putScratchBuf(bp, buf)
+	return body
 }
 
 // requestCtx applies the server's per-request deadline.

@@ -46,6 +46,12 @@ go test -run '^$' -fuzz '^FuzzKeyMatchesRendering$' -fuzztime 15s -fuzzminimizet
 # fail with the same error, as encoding/json.
 go test -run '^$' -fuzz '^FuzzDecodeEstimate$' -fuzztime 15s -fuzzminimizetime 5x ./internal/serve
 
+# Differential fuzz smoke for report encoding: the hand-written
+# Report.AppendJSON must produce exactly encoding/json's MarshalIndent
+# rendering of the report's mirror structs, for extreme integer fields,
+# any section lengths and names that need escaping.
+go test -run '^$' -fuzz '^FuzzReportJSON$' -fuzztime 15s -fuzzminimizetime 5x ./internal/emulator
+
 # Differential fuzz smoke for exact reachability: the persistence
 # reduction must agree with the breadth-first product exploration, and
 # the schedule fixpoint that decides preflight's verdict with both.
