@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -175,37 +176,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // item's report bytes are spliced in verbatim: the report JSON is
 // indented, and routing it through json.Marshal as a RawMessage would
 // compact and re-escape it, breaking the per-item byte-identity with
-// the single endpoint (and with segbus-emu -report-json). A 200 item's
-// head is written by hand too: it has no code, error or diagnostics,
-// and its cache is one of "hit", "miss" and "coalesced", so it is
-// exactly json.Marshal's rendering of its BatchItem. Failed items
-// carry free-text diagnostics and keep json.Marshal.
+// the single endpoint (and with segbus-emu -report-json).
 func marshalBatchResponse(outs []outcome, dedup int) ([]byte, error) {
-	// Room for the envelope and every 200 item; a failed item's
-	// diagnostics may still grow the buffer.
-	size := 64
-	for _, out := range outs {
-		size += 64 + len(out.body)
-	}
-	buf := make([]byte, 0, size)
+	var buf bytes.Buffer
 	served, failed := 0, 0
-	buf = append(buf, `{"items":[`...)
+	buf.WriteString(`{"items":[`)
 	for i, out := range outs {
 		if i > 0 {
-			buf = append(buf, ',')
+			buf.WriteByte(',')
 		}
-		if out.status == http.StatusOK {
-			served++
-			buf = append(buf, `{"index":`...)
-			buf = strconv.AppendInt(buf, int64(i), 10)
-			buf = append(buf, `,"status":200,"cache":"`...)
-			buf = append(buf, out.cache...)
-			buf = append(buf, `","report":`...)
-			buf = append(buf, out.body...)
-			buf = append(buf, '}')
-			continue
-		}
-		failed++
 		head, err := json.Marshal(BatchItem{
 			Index:       i,
 			Status:      out.status,
@@ -217,13 +196,19 @@ func marshalBatchResponse(outs []outcome, dedup int) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		buf = append(buf, head...)
+		if out.status == http.StatusOK {
+			served++
+			// Splice the verbatim report in before the closing brace.
+			buf.Write(head[:len(head)-1])
+			buf.WriteString(`,"report":`)
+			buf.Write(out.body)
+			buf.WriteByte('}')
+		} else {
+			failed++
+			buf.Write(head)
+		}
 	}
-	buf = append(buf, `],"served":`...)
-	buf = strconv.AppendInt(buf, int64(served), 10)
-	buf = append(buf, `,"failed":`...)
-	buf = strconv.AppendInt(buf, int64(failed), 10)
-	buf = append(buf, `,"deduplicated":`...)
-	buf = strconv.AppendInt(buf, int64(dedup), 10)
-	return append(buf, "}\n"...), nil
+	fmt.Fprintf(&buf, `],"served":%d,"failed":%d,"deduplicated":%d}`, served, failed, dedup)
+	buf.WriteByte('\n')
+	return buf.Bytes(), nil
 }

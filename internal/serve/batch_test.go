@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -13,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"segbus/internal/analyze"
 	"segbus/internal/conform"
 	"segbus/internal/core"
 	"segbus/internal/schema"
@@ -477,75 +475,6 @@ func TestBatchRejectedDuplicates(t *testing.T) {
 		resp := decodeBatch(t, rec)
 		if resp.Served != 3 || resp.Failed != 4 || resp.Deduplicated != 1 {
 			t.Errorf("%s batch: served=%d failed=%d dedup=%d, want 3/4/1", cache, resp.Served, resp.Failed, resp.Deduplicated)
-		}
-	}
-}
-
-// marshalBatchReference is the batch encoding with every item head
-// from json.Marshal of its BatchItem, the report spliced in before
-// the head's closing brace: the oracle for marshalBatchResponse's
-// hand-written 200 heads.
-func marshalBatchReference(t *testing.T, outs []outcome, dedup int) []byte {
-	var buf bytes.Buffer
-	served, failed := 0, 0
-	buf.WriteString(`{"items":[`)
-	for i, out := range outs {
-		if i > 0 {
-			buf.WriteByte(',')
-		}
-		head, err := json.Marshal(BatchItem{
-			Index: i, Status: out.status, Cache: out.cache,
-			Code: out.code, Error: out.msg, Diagnostics: out.diags,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out.status == http.StatusOK {
-			served++
-			buf.Write(head[:len(head)-1])
-			buf.WriteString(`,"report":`)
-			buf.Write(out.body)
-			buf.WriteByte('}')
-		} else {
-			failed++
-			buf.Write(head)
-		}
-	}
-	fmt.Fprintf(&buf, `],"served":%d,"failed":%d,"deduplicated":%d}`, served, failed, dedup)
-	buf.WriteByte('\n')
-	return buf.Bytes()
-}
-
-// TestMarshalBatchMatchesReference holds marshalBatchResponse to the
-// json.Marshal rendering of every item head, byte for byte: 200 items
-// under each cache marker at one- and two-digit indexes, failures with
-// and without escaped diagnostics, and the empty batch.
-func TestMarshalBatchMatchesReference(t *testing.T) {
-	report := []byte("{\n  \"version\": 1,\n  \"platform\": \"<P0> & \\\"P1\\\"\"\n}")
-	diags := []analyze.Diagnostic{{
-		Code: "SB050", Severity: analyze.SeverityError, Analyzer: "reach", Element: "P1 -> P2",
-		Message: "a <cycle> & \"quotes\"\u2028", Trace: []string{"grant P1", "stall\tP2"},
-	}}
-	var outs []outcome
-	for i := 0; i < 12; i++ {
-		switch i % 4 {
-		case 0:
-			outs = append(outs, outcome{status: http.StatusOK, cache: "miss", body: report})
-		case 1:
-			outs = append(outs, outcome{status: http.StatusOK, cache: []string{"hit", "coalesced"}[i%2], body: report})
-		case 2:
-			outs = append(outs, errOutcome(http.StatusBadRequest, CodeBadModel, "preflight: <rejected>", diags))
-		case 3:
-			outs = append(outs, errOutcome(http.StatusTooManyRequests, CodeQueueFull, "worker pool saturated, retry later", nil))
-		}
-	}
-	for _, n := range []int{0, 1, 3, len(outs)} {
-		got, err := marshalBatchResponse(outs[:n], n/3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := marshalBatchReference(t, outs[:n], n/3); !bytes.Equal(got, want) {
-			t.Fatalf("%d items:\n got %s\nwant %s", n, got, want)
 		}
 	}
 }
