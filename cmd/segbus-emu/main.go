@@ -163,8 +163,8 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if err != nil {
 		// Aggregate coded findings (e.g. an SB050 deadlock caught at
-		// run time after an inconclusive preflight) the same way the
-		// scheme validators are reported.
+		// run time in a model over the exact check's caps, SB052) the
+		// same way the scheme validators are reported.
 		if ds, ok := analyze.FromError(err); ok {
 			for _, d := range ds {
 				fmt.Fprintln(os.Stderr, d)

@@ -221,7 +221,7 @@ func oracleReachability(pass *Pass) {
 	sch, err := oracleScheduleOf(pass.Model, pass.Platform)
 	if err != nil {
 		if errors.Is(err, automata.ErrTooLarge) {
-			pass.Reportf(CodeBudgetExhausted, SeverityInfo, "model",
+			pass.Reportf(CodeExactSkipped, SeverityInfo, "model",
 				"exact reachability analysis skipped: %v", err)
 		}
 		return
@@ -233,7 +233,7 @@ func oracleReachability(pass *Pass) {
 	if err != nil {
 		return
 	}
-	reportCheck(pass, sys.Check(automata.Options{}))
+	reportDeadlock(pass, sys.Check())
 }
 
 // maxAgreementPackages bounds the per-package work CheckAgreement

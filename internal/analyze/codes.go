@@ -44,7 +44,7 @@ func CodeTable() []CodeInfo {
 		// Exact reachability (communicating-automata product).
 		{"SB050", SeverityError, "schedule reaches a deadlock state (minimal counterexample attached; see -why SB050)"},
 		{"SB051", SeverityError, "process can never fire: its first emission's gate is unsatisfiable in every run"},
-		{"SB052", SeverityInfo, "exact reachability analysis exhausted its state budget; verdict inconclusive, heuristics apply"},
+		{"SB052", SeverityInfo, "exact reachability analysis skipped: model exceeds the product encoding's caps; heuristics apply"},
 		// Liveness.
 		{"SB101", SeverityError, "flows of one ordering number form a dependency cycle (error when it provably deadlocks, warning otherwise)"},
 		{"SB102", SeverityWarning, "input flow arrives after its target's last emission"},

@@ -17,36 +17,12 @@ func oracleExactReachability(pass *Pass) {
 	sys, err := automata.Compile(pass.Model, pass.Platform)
 	if err != nil {
 		if errors.Is(err, automata.ErrTooLarge) {
-			pass.Reportf(CodeBudgetExhausted, SeverityInfo, "model",
+			pass.Reportf(CodeExactSkipped, SeverityInfo, "model",
 				"exact reachability analysis skipped: %v", err)
 		}
 		return
 	}
-	reportCheck(pass, sys.Check(automata.Options{}))
-}
-
-// reportCheck is checkExactReachability's reporting of a check's
-// outcome, for the oracles.
-func reportCheck(pass *Pass, res *automata.Result) {
-	switch res.Verdict {
-	case automata.Inconclusive:
-		pass.Reportf(CodeBudgetExhausted, SeverityInfo, "model",
-			"exact reachability analysis inconclusive: state budget (%d) exhausted after %d state(s); heuristic cycle analysis applies",
-			res.Budget, res.States)
-	case automata.Deadlocks:
-		pass.Report(Diagnostic{
-			Code:     CodeDeadlockState,
-			Severity: SeverityError,
-			Element:  deadlockElement(res),
-			Message:  deadlockMessage(res),
-			Trace:    res.TraceStrings(),
-		})
-		for _, nf := range res.NeverFired {
-			pass.Reportf(CodeNeverFires, SeverityError, nf.Proc.String(),
-				"%s can never fire: package %d of %s needs %d input package(s) before emission, but at most %d ever arrive",
-				nf.Proc, nf.Pkg, nf.Flow, nf.Need, nf.Have)
-		}
-	}
+	reportDeadlock(pass, sys.Check())
 }
 
 // ExactReachability returns the diagnostics the exact reachability

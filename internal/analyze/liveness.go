@@ -36,8 +36,8 @@ const (
 // exactly (SB050–SB052) where the structural heuristics can only grade
 // suspicion: the schedule's closed-form fixpoint (sched.Schedule.Drains)
 // gives the verdict, and only a stalling schedule is compiled into the
-// automata product (internal/automata), which builds the
-// counterexample.
+// automata product (internal/automata), whose one greedy run builds
+// the counterexample.
 func init() {
 	Register(&Analyzer{
 		Name: "liveness",

@@ -12,9 +12,9 @@ import (
 const (
 	// CodeDeadlockState flags a model whose schedule reaches a state
 	// where no process can fire while packages remain undelivered,
-	// proven by exhaustive exploration of the communicating-automata
-	// product (error). The diagnostic carries a minimal counterexample
-	// trace, printable with segbus-vet -why SB050.
+	// proven by the exact check of the communicating-automata product
+	// (error). The diagnostic carries a minimal counterexample trace,
+	// printable with segbus-vet -why SB050.
 	CodeDeadlockState = "SB050"
 
 	// CodeNeverFires flags a process whose first emission's firing
@@ -23,11 +23,11 @@ const (
 	// permanently starved process.
 	CodeNeverFires = "SB051"
 
-	// CodeBudgetExhausted reports that the exact reachability
-	// exploration ran out of its state budget before reaching a
-	// verdict (info). The heuristic cycle analysis (SB101) remains the
-	// authority for such models.
-	CodeBudgetExhausted = "SB052"
+	// CodeExactSkipped reports that the model exceeds the product
+	// encoding's caps, so the exact check was skipped (info). The
+	// heuristic cycle analysis (SB101) remains the authority for such
+	// models.
+	CodeExactSkipped = "SB052"
 )
 
 // checkExactReachability decides deadlock-versus-termination of the
@@ -37,16 +37,15 @@ const (
 // The verdict comes from the schedule's closed-form fixpoint
 // (sched.Schedule.Drains); only a schedule that stalls is compiled
 // into the communicating-automata product (internal/automata), whose
-// check builds the counterexample. Models the validators reject are
-// skipped silently — the structural analyzer already owns those
-// findings — and a model too large for the product encoding, or an
-// exploration that runs out of its state budget, degrades to an SB052
-// note, leaving the heuristics in charge.
+// one greedy run builds the counterexample. Models the validators
+// reject are skipped silently — the structural analyzer already owns
+// those findings — and a model too large for the product encoding
+// degrades to an SB052 note, leaving the heuristics in charge.
 func checkExactReachability(pass *Pass) {
 	sch, err := automata.ScheduleOf(pass.Pair)
 	if err != nil {
 		if errors.Is(err, automata.ErrTooLarge) {
-			pass.Reportf(CodeBudgetExhausted, SeverityInfo, "model",
+			pass.Reportf(CodeExactSkipped, SeverityInfo, "model",
 				"exact reachability analysis skipped: %v", err)
 		}
 		return
@@ -58,25 +57,26 @@ func checkExactReachability(pass *Pass) {
 	if err != nil {
 		return
 	}
-	res := sys.Check(automata.Options{})
-	switch res.Verdict {
-	case automata.Inconclusive:
-		pass.Reportf(CodeBudgetExhausted, SeverityInfo, "model",
-			"exact reachability analysis inconclusive: state budget (%d) exhausted after %d state(s); heuristic cycle analysis applies",
-			res.Budget, res.States)
-	case automata.Deadlocks:
-		pass.Report(Diagnostic{
-			Code:     CodeDeadlockState,
-			Severity: SeverityError,
-			Element:  deadlockElement(res),
-			Message:  deadlockMessage(res),
-			Trace:    res.TraceStrings(),
-		})
-		for _, nf := range res.NeverFired {
-			pass.Reportf(CodeNeverFires, SeverityError, nf.Proc.String(),
-				"%s can never fire: package %d of %s needs %d input package(s) before emission, but at most %d ever arrive",
-				nf.Proc, nf.Pkg, nf.Flow, nf.Need, nf.Have)
-		}
+	reportDeadlock(pass, sys.Check())
+}
+
+// reportDeadlock reports a check's Deadlocks outcome: SB050 with the
+// counterexample, and SB051 for every process that can never fire.
+func reportDeadlock(pass *Pass, res *automata.Result) {
+	if res.Verdict != automata.Deadlocks {
+		return
+	}
+	pass.Report(Diagnostic{
+		Code:     CodeDeadlockState,
+		Severity: SeverityError,
+		Element:  deadlockElement(res),
+		Message:  deadlockMessage(res),
+		Trace:    res.TraceStrings(),
+	})
+	for _, nf := range res.NeverFired {
+		pass.Reportf(CodeNeverFires, SeverityError, nf.Proc.String(),
+			"%s can never fire: package %d of %s needs %d input package(s) before emission, but at most %d ever arrive",
+			nf.Proc, nf.Pkg, nf.Flow, nf.Need, nf.Have)
 	}
 }
 
@@ -99,10 +99,6 @@ func deadlockMessage(res *automata.Result) string {
 	for _, bl := range res.Blocked {
 		fmt.Fprintf(&b, "; %s blocked (needs %d input packages, has %d)", bl.Proc, bl.Need, bl.Have)
 	}
-	kind := "counterexample"
-	if res.Minimal {
-		kind = "minimal counterexample"
-	}
-	fmt.Fprintf(&b, "; %s of %d action(s) attached", kind, len(res.Trace))
+	fmt.Fprintf(&b, "; minimal counterexample of %d action(s) attached", len(res.Trace))
 	return b.String()
 }

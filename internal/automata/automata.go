@@ -28,42 +28,40 @@
 //
 // A product state is therefore (stage, packages left in stage,
 // per-process received counters, per-emitter program counter and
-// phase), packed into a compact byte string whose hash deduplicates
-// visited states.
+// phase), packed into a compact byte string.
 //
-// # Exact exploration
+// # Exact checking
 //
-// Two explorers run over the product:
-//
-//   - a reduced run: bus arbitration order and border-unit buffering
-//     only affect timing, never progress — the firing gates are
-//     monotone in the delivered-package counts, so the system is
-//     persistent and every maximal run delivers the same package set
-//     (a Kahn least fixpoint). One greedy maximal run therefore
-//     decides deadlock-versus-termination exactly, in time linear in
-//     the package count;
-//   - a breadth-first product exploration: an iterative worklist with
-//     hashed state deduplication and a configurable state budget,
-//     used to find a shortest action trace into the stuck
-//     configuration and as the ground truth the reduced run is
-//     cross-checked against (see FuzzProduct). It runs serially on
-//     the caller's goroutine: a server gets its concurrency from
-//     requests, not from one request's search.
+// Bus arbitration order and border-unit buffering only affect timing,
+// never progress: the firing gates are monotone in the
+// delivered-package counts, so the product is persistent — firing one
+// enabled transition never disables another. In a persistent
+// deterministic system every maximal run is a permutation of the
+// others, so every run has the same length and ends in the same state
+// (Landweber & Robertson, "Properties of conflict-free and persistent
+// Petri nets", JACM 1978). Check therefore drives one greedy maximal
+// run that fires the lowest-index enabled emitter at each step. The
+// run decides deadlock-versus-termination exactly. Each action
+// advances one emitter's (program counter, phase), so a run takes at
+// most four steps per package, and every trace into the one stuck
+// state has the same length: the run's trace is a minimal
+// counterexample, the lexicographically least one, which a
+// breadth-first product search expanding emitters in index order also
+// finds. That exhaustive search is kept in the tests as the oracle of
+// this argument (TestGreedyMatchesProductOracle, FuzzProduct).
 //
 // The same fixpoint can be computed over integer counts alone, without
 // the product (sched.Schedule.Drains); the liveness analyzer reads its
 // verdict there and compiles only a stalling schedule (ScheduleOf,
-// then CompileSchedule), so the product builds the counterexample and
-// serves as the fixpoint's oracle.
+// then CompileSchedule), so the product builds the counterexample.
 //
-// Segments hosting no emitting process are inert — their bus
-// automaton has a single state — and are pruned from the product
-// before exploration (the symmetry reduction for identical idle
-// segments; the count of pruned segments is reported in Result).
+// Segments hosting no emitting process are inert: their bus automaton
+// has a single state, and the grant rule only ever inspects emitters.
 package automata
 
 import (
 	"fmt"
+	"strconv"
 
 	"segbus/internal/psdf"
 	"segbus/internal/sched"
@@ -120,20 +118,42 @@ type Action struct {
 }
 
 // String renders the action as one human-readable trace line.
-func (a Action) String() string {
+func (a Action) String() string { return string(a.appendText(nil)) }
+
+// appendText appends the action's trace line to b. It writes with
+// strconv rather than fmt: a counterexample can run to 2¹⁷ lines.
+func (a Action) appendText(b []byte) []byte {
 	switch a.Kind {
 	case ActStart:
-		return fmt.Sprintf("%s starts computing package %d/%d of %s->%s (order %d)",
-			a.Proc, a.Pkg, a.Pkgs, a.Flow.Source, a.Flow.Target, a.Flow.Order)
+		b = append(appendProc(b, a.Proc), " starts computing package "...)
+		b = append(a.appendPackage(b), " (order "...)
+		return append(strconv.AppendInt(b, int64(a.Flow.Order), 10), ')')
 	case ActRequest:
-		return fmt.Sprintf("%s finishes package %d/%d of %s->%s and requests the segment %d bus",
-			a.Proc, a.Pkg, a.Pkgs, a.Flow.Source, a.Flow.Target, a.Seg)
+		b = append(appendProc(b, a.Proc), " finishes package "...)
+		b = append(a.appendPackage(b), " and requests the segment "...)
+		return append(strconv.AppendInt(b, int64(a.Seg), 10), " bus"...)
 	case ActGrant:
-		return fmt.Sprintf("SA%d grants the segment %d bus to %s", a.Seg, a.Seg, a.Proc)
+		b = append(strconv.AppendInt(append(b, "SA"...), int64(a.Seg), 10), " grants the segment "...)
+		b = append(strconv.AppendInt(b, int64(a.Seg), 10), " bus to "...)
+		return appendProc(b, a.Proc)
 	case ActDeliver:
-		return fmt.Sprintf("%s delivers package %d/%d of %s->%s", a.Proc, a.Pkg, a.Pkgs, a.Flow.Source, a.Flow.Target)
+		b = append(appendProc(b, a.Proc), " delivers package "...)
+		return a.appendPackage(b)
 	}
-	return fmt.Sprintf("Action(%d)", int(a.Kind))
+	return fmt.Appendf(b, "Action(%d)", int(a.Kind))
+}
+
+// appendPackage appends "<pkg>/<pkgs> of <source>-><target>".
+func (a Action) appendPackage(b []byte) []byte {
+	b = append(strconv.AppendInt(b, int64(a.Pkg), 10), '/')
+	b = append(strconv.AppendInt(b, int64(a.Pkgs), 10), " of "...)
+	b = append(appendProc(b, a.Flow.Source), "->"...)
+	return appendProc(b, a.Flow.Target)
+}
+
+// appendProc appends p as psdf.ProcessID.String renders it.
+func appendProc(b []byte, p psdf.ProcessID) []byte {
+	return strconv.AppendInt(append(b, 'P'), int64(p), 10)
 }
 
 // Verdict is the outcome of an exact reachability check.
@@ -148,10 +168,6 @@ const (
 	// Deadlocks: a stuck state — no transition enabled, packages
 	// undelivered — is reachable. Result.Trace leads into it.
 	Deadlocks
-
-	// Inconclusive: the state budget was exhausted before a verdict;
-	// callers should fall back to heuristic analysis.
-	Inconclusive
 )
 
 // String implements fmt.Stringer.
@@ -161,8 +177,6 @@ func (v Verdict) String() string {
 		return "terminates"
 	case Deadlocks:
 		return "deadlocks"
-	case Inconclusive:
-		return "inconclusive"
 	}
 	return fmt.Sprintf("Verdict(%d)", int(v))
 }
@@ -178,36 +192,13 @@ type Blocked struct {
 	Have int       // input packages actually received
 }
 
-// DefaultStateBudget is the product-state budget of a Check when
-// Options.StateBudget is zero: large enough for every model the
-// conform generator emits, small enough to stay interactive.
-const DefaultStateBudget = 1 << 17
-
-// Options tunes an exact reachability check.
-type Options struct {
-	// StateBudget caps the number of distinct product states visited
-	// across both explorers; zero selects DefaultStateBudget. When
-	// the budget is exhausted the verdict is Inconclusive.
-	StateBudget int
-}
-
 // Result is the outcome of an exact reachability check.
 type Result struct {
 	Verdict Verdict
 
-	// States is the number of distinct product states visited across
-	// the reduced run and the breadth-first exploration; Budget is
-	// the cap that applied.
-	States int
-	Budget int
-
-	// Trace is the action sequence from the initial state into a
-	// stuck state (Deadlocks only). Minimal marks a shortest trace
-	// found by the exhaustive product exploration; when the budget
-	// ran out mid-search the trace of the reduced maximal run is kept
-	// and Minimal is false.
-	Trace   []Action
-	Minimal bool
+	// Trace is the greedy run's action sequence from the initial state
+	// into the stuck state (Deadlocks only): a minimal counterexample.
+	Trace []Action
 
 	// Stuck-state detail (Deadlocks only): the stage the schedule
 	// stalls in and the emitters blocked there.
@@ -221,11 +212,6 @@ type Result struct {
 	// never fires in the maximal run never fires at all). Each entry
 	// carries the first program entry's gate arithmetic.
 	NeverFired []Blocked
-
-	// PrunedSegments counts the inert segments removed from the
-	// product by the symmetry reduction (segments hosting no
-	// emitting process).
-	PrunedSegments int
 }
 
 // TraceStrings renders the counterexample trace one line per action.
@@ -234,42 +220,35 @@ func (r *Result) TraceStrings() []string {
 		return nil
 	}
 	out := make([]string, len(r.Trace))
+	var line []byte
 	for i, a := range r.Trace {
-		out[i] = a.String()
+		line = a.appendText(line[:0])
+		out[i] = string(line)
 	}
 	return out
 }
 
-// Entry is one package emission of an emitter's program, with the
+// entry is one package emission of an emitter's program, with the
 // firing gate the schedule assigns it (sched.Schedule.Need).
-type Entry struct {
+type entry struct {
 	Flow sched.FlowID
 	Pkg  int // 1-based package index within the flow
 	Need int // input packages the firing gate requires first
 }
 
 // System is a compiled product: the per-process automata programs,
-// the segment mapping and the stage structure, ready for
-// exploration. Compile builds one; a System is immutable and safe
-// for concurrent use.
+// the segment mapping and the stage structure, ready for checking.
+// Compile builds one; a System is immutable and safe for concurrent
+// use.
 type System struct {
 	sch       *sched.Schedule
 	procs     []psdf.ProcessID // ascending; index is the state slot
 	procIdx   map[psdf.ProcessID]int
 	segOf     []int // per proc index, 1-based hosting segment
-	programs  [][]Entry
+	programs  [][]entry
 	emitters  []int // proc indices with non-empty programs, ascending
 	numStages int
-	pruned    int // inert segments removed by the symmetry reduction
 }
-
-// NumEmitters returns the number of non-trivial process automata in
-// the product.
-func (s *System) NumEmitters() int { return len(s.emitters) }
-
-// PrunedSegments returns the number of inert segments the symmetry
-// reduction removed from the product.
-func (s *System) PrunedSegments() int { return s.pruned }
 
 // Schedule returns the extracted schedule the system was compiled
 // against.

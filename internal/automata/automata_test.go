@@ -2,9 +2,17 @@ package automata_test
 
 import (
 	"errors"
+	"fmt"
+	"math"
+	"path/filepath"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"segbus/internal/automata"
+	"segbus/internal/conform"
+	"segbus/internal/dsl"
 	"segbus/internal/emulator"
 	"segbus/internal/platform"
 	"segbus/internal/psdf"
@@ -108,7 +116,7 @@ func TestDeadlockGallery(t *testing.T) {
 		},
 		{
 			// Plain pipeline across segments: terminates; the sink's
-			// segment hosts no emitter and is pruned from the product.
+			// segment hosts no emitter and stays inert.
 			name: "chain-terminates",
 			m: model("chain",
 				psdf.Flow{Source: 0, Target: 1, Items: 8, Order: 1, Ticks: 5},
@@ -125,7 +133,7 @@ func TestDeadlockGallery(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Compile: %v", err)
 			}
-			res := sys.Check(automata.Options{})
+			res := sys.Check()
 			if res.Verdict != tc.verdict {
 				t.Fatalf("verdict = %v, want %v", res.Verdict, tc.verdict)
 			}
@@ -148,9 +156,6 @@ func TestDeadlockGallery(t *testing.T) {
 				return
 			}
 
-			if !res.Minimal {
-				t.Errorf("expected a minimal trace from the product exploration")
-			}
 			if tc.traceLen >= 0 && len(res.Trace) != tc.traceLen {
 				t.Errorf("trace length = %d, want %d\n%s", len(res.Trace), tc.traceLen, automata.FormatTrace(res.Trace))
 			}
@@ -194,25 +199,6 @@ func equalProcs(a, b []psdf.ProcessID) bool {
 	return true
 }
 
-// TestSymmetryReduction pins the inert-segment pruning: segments
-// hosting only receivers contribute no product states.
-func TestSymmetryReduction(t *testing.T) {
-	m := model("chain",
-		psdf.Flow{Source: 0, Target: 1, Items: 8, Order: 1, Ticks: 5},
-		psdf.Flow{Source: 1, Target: 2, Items: 8, Order: 2, Ticks: 5},
-	)
-	sys, err := automata.Compile(m, plat([]psdf.ProcessID{0, 1}, []psdf.ProcessID{2}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sys.PrunedSegments() != 1 {
-		t.Errorf("PrunedSegments = %d, want 1 (the sink-only segment)", sys.PrunedSegments())
-	}
-	if sys.NumEmitters() != 2 {
-		t.Errorf("NumEmitters = %d, want 2", sys.NumEmitters())
-	}
-}
-
 // TestNilPlatform checks the bare-model fallback: one implicit
 // segment, nominal (or unit) package size, same verdicts.
 func TestNilPlatform(t *testing.T) {
@@ -225,7 +211,7 @@ func TestNilPlatform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := sys.Check(automata.Options{}); res.Verdict != automata.Deadlocks {
+	if res := sys.Check(); res.Verdict != automata.Deadlocks {
 		t.Errorf("bare-model verdict = %v, want deadlocks", res.Verdict)
 	}
 
@@ -234,7 +220,7 @@ func TestNilPlatform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := sys.Check(automata.Options{}); res.Verdict != automata.Terminates {
+	if res := sys.Check(); res.Verdict != automata.Terminates {
 		t.Errorf("bare-model verdict = %v, want terminates", res.Verdict)
 	}
 }
@@ -248,24 +234,49 @@ func TestInvalidModelRejected(t *testing.T) {
 	}
 }
 
-// TestBudgetExhaustion: a tiny budget must yield Inconclusive, never
-// a wrong verdict.
-func TestBudgetExhaustion(t *testing.T) {
-	m := model("chain", psdf.Flow{Source: 0, Target: 1, Items: 64, Order: 1, Ticks: 5})
-	sys, err := automata.Compile(m, plat([]psdf.ProcessID{0, 1}))
-	if err != nil {
-		t.Fatal(err)
+// oracleCorpus is the analyze package's oracle corpus: the scenario
+// corpora (deadlocking models included), 200 generated models (seed 7)
+// and a same-order cyclic mutant of each (conform.CyclicMutant).
+func oracleCorpus(t *testing.T) []*dsl.Document {
+	t.Helper()
+	var docs []*dsl.Document
+	for _, dir := range []string{"scenarios", filepath.Join("scenarios", "deadlock")} {
+		corpus, err := conform.LoadCorpusDir(filepath.Join("..", "..", "testdata", dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs = append(docs, corpus...)
 	}
-	res := sys.Check(automata.Options{StateBudget: 3})
-	if res.Verdict != automata.Inconclusive {
-		t.Errorf("verdict = %v, want inconclusive at budget 3", res.Verdict)
+	g := conform.NewGenerator(7, nil)
+	for i := 0; i < 200; i++ {
+		doc := g.Next().Doc
+		docs = append(docs, doc)
+		if mut := conform.CyclicMutant(doc, 0); mut != nil {
+			docs = append(docs, mut)
+		}
 	}
+	return docs
 }
 
-// TestProductMatchesReduced cross-checks the persistence reduction on
-// the gallery shapes: the exhaustive product explorer and the greedy
-// run must agree wherever both conclude.
-func TestProductMatchesReduced(t *testing.T) {
+// withoutTrace returns a copy of res with the trace dropped, so the
+// stuck-state detail of two results compares with reflect.DeepEqual.
+func withoutTrace(res *automata.Result) automata.Result {
+	c := *res
+	c.Trace = nil
+	return c
+}
+
+// TestGreedyMatchesProductOracle holds Check's one lowest-index greedy
+// run to the two test-only oracles of the persistence argument. On the
+// gallery's cyclic shapes the product search must reach Check's
+// verdict. On every deadlocking pair of the oracle corpus, at package
+// sizes 1, 7, nominal and 576:
+//   - the trace replays to a stuck state, and the flush-priority greedy
+//     run (runReduced) takes as many steps and ends in the same state;
+//   - wherever the product search decides within 2¹⁴ states, its trace
+//     and stuck state equal Check's. At least 100 pairs must be decided
+//     there, so the minimality claim is exercised.
+func TestGreedyMatchesProductOracle(t *testing.T) {
 	shapes := []*psdf.Model{
 		model("a",
 			psdf.Flow{Source: 2, Target: 0, Items: 8, Order: 1, Ticks: 5},
@@ -288,14 +299,123 @@ func TestProductMatchesReduced(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name(), err)
 		}
-		terminated, exhausted, _ := sys.RunReduced(automata.DefaultStateBudget)
-		verdict, states := sys.ExploreProduct(automata.DefaultStateBudget)
-		if exhausted || verdict == automata.Inconclusive {
-			t.Fatalf("%s: unexpected budget exhaustion", m.Name())
+		prod, _, states, ok := sys.ProductOracle(1 << 14)
+		if !ok {
+			t.Fatalf("%s: product search exhausted its budget", m.Name())
 		}
-		if terminated != (verdict == automata.Terminates) {
-			t.Errorf("%s: reduced terminated=%v, product verdict=%v (%d states)",
-				m.Name(), terminated, verdict, states)
+		if got := sys.Check().Verdict; got != prod.Verdict {
+			t.Errorf("%s: Check verdict %v, product verdict %v (%d states)", m.Name(), got, prod.Verdict, states)
 		}
+	}
+
+	deadlocks, decided := 0, 0
+	for _, doc := range oracleCorpus(t) {
+		for _, size := range []int{1, 7, doc.Model.NominalPackageSize(), 576} {
+			plat := doc.Platform
+			if plat != nil && size > 0 {
+				plat = plat.Clone()
+				plat.PackageSize = size
+			}
+			sys, err := automata.Compile(doc.Model, plat)
+			if err != nil {
+				continue
+			}
+			res := sys.Check()
+			if res.Verdict != automata.Deadlocks {
+				continue
+			}
+			deadlocks++
+			name := fmt.Sprintf("%s at package size %d", doc.Model.Name(), size)
+
+			state, err := sys.ReplayState(res.Trace)
+			if err != nil {
+				t.Fatalf("%s: counterexample does not replay: %v", name, err)
+			}
+			if stuck, _ := sys.Replay(res.Trace); !stuck {
+				t.Fatalf("%s: counterexample replays to a live state", name)
+			}
+			red, redState := sys.ReducedOracle()
+			if len(red.Trace) != len(res.Trace) || redState != state {
+				t.Fatalf("%s: flush-priority run takes %d steps, Check %d; same final state: %v",
+					name, len(red.Trace), len(res.Trace), redState == state)
+			}
+			if !reflect.DeepEqual(withoutTrace(red), withoutTrace(res)) {
+				t.Fatalf("%s: stuck detail differs:\nflush-priority run: %+v\nCheck: %+v", name, withoutTrace(red), withoutTrace(res))
+			}
+
+			prod, prodState, _, ok := sys.ProductOracle(1 << 14)
+			if !ok {
+				continue
+			}
+			decided++
+			if prod.Verdict != automata.Deadlocks {
+				t.Fatalf("%s: product verdict %v, Check deadlocks", name, prod.Verdict)
+			}
+			if !slices.Equal(prod.TraceStrings(), res.TraceStrings()) || prodState != state {
+				t.Fatalf("%s: Check's counterexample differs from the product's:\ncheck:\n%sproduct:\n%s",
+					name, automata.FormatTrace(res.Trace), automata.FormatTrace(prod.Trace))
+			}
+			if !reflect.DeepEqual(withoutTrace(prod), withoutTrace(res)) {
+				t.Fatalf("%s: stuck detail differs:\nproduct: %+v\nCheck: %+v", name, withoutTrace(prod), withoutTrace(res))
+			}
+		}
+	}
+	if decided < 100 {
+		t.Errorf("the product decided only %d of %d deadlocking pairs, want >= 100", decided, deadlocks)
+	}
+	t.Logf("%d deadlocking pairs, %d decided by the product within 2^14 states", deadlocks, decided)
+}
+
+// sprintfAction is the fmt rendering of a trace line that
+// Action.String must reproduce byte for byte.
+func sprintfAction(a automata.Action) string {
+	switch a.Kind {
+	case automata.ActStart:
+		return fmt.Sprintf("%s starts computing package %d/%d of %s->%s (order %d)",
+			a.Proc, a.Pkg, a.Pkgs, a.Flow.Source, a.Flow.Target, a.Flow.Order)
+	case automata.ActRequest:
+		return fmt.Sprintf("%s finishes package %d/%d of %s->%s and requests the segment %d bus",
+			a.Proc, a.Pkg, a.Pkgs, a.Flow.Source, a.Flow.Target, a.Seg)
+	case automata.ActGrant:
+		return fmt.Sprintf("SA%d grants the segment %d bus to %s", a.Seg, a.Seg, a.Proc)
+	case automata.ActDeliver:
+		return fmt.Sprintf("%s delivers package %d/%d of %s->%s", a.Proc, a.Pkg, a.Pkgs, a.Flow.Source, a.Flow.Target)
+	}
+	return fmt.Sprintf("Action(%d)", int(a.Kind))
+}
+
+// TestActionStringMatchesSprintf holds the strconv trace renderer to
+// its fmt rendering, on every kind (an unknown one included) with
+// zero, negative and extreme fields and the system-output target, and
+// through TraceStrings and FormatTrace.
+func TestActionStringMatchesSprintf(t *testing.T) {
+	var trace []automata.Action
+	for _, kind := range []automata.ActionKind{automata.ActStart, automata.ActRequest, automata.ActGrant, automata.ActDeliver, 7} {
+		for _, v := range []int{0, 1, -1, 36, math.MaxInt, math.MinInt} {
+			trace = append(trace, automata.Action{
+				Kind: kind,
+				Proc: psdf.ProcessID(v),
+				Flow: psdf.Flow{Source: psdf.ProcessID(-v), Target: psdf.SystemOutput, Order: v},
+				Pkg:  v,
+				Pkgs: -v,
+				Seg:  v,
+			})
+		}
+	}
+	want := make([]string, len(trace))
+	var text strings.Builder
+	for i, a := range trace {
+		want[i] = sprintfAction(a)
+		if got := a.String(); got != want[i] {
+			t.Errorf("%+v renders %q, want %q", a, got, want[i])
+		}
+		fmt.Fprintf(&text, "%4d. %s\n", i+1, want[i])
+	}
+	res := &automata.Result{Trace: trace}
+	if got := res.TraceStrings(); !slices.Equal(got, want) {
+		t.Errorf("TraceStrings = %q, want %q", got, want)
+	}
+	if got := automata.FormatTrace(trace); got != text.String() {
+		t.Errorf("FormatTrace = %q, want %q", got, text.String())
 	}
 }

@@ -7,60 +7,41 @@ import (
 
 // Check decides, exactly, whether the compiled product can deadlock.
 //
-// The reduced (greedy maximal) run delivers the verdict: by the
-// persistence argument in runReduced's comment it terminates if and
-// only if every run does. When it sticks, the breadth-first product
-// exploration is launched to find a shortest action trace into the
-// stuck configuration; if that search exhausts the state budget the
-// reduced run's own trace is kept (Minimal=false). A reduced run that
-// exhausts the budget — possible only for models near the encoding
-// limits — yields Inconclusive, and callers fall back to heuristics.
-func (s *System) Check(opts Options) *Result {
-	budget := opts.StateBudget
-	if budget <= 0 {
-		budget = DefaultStateBudget
+// It drives one greedy maximal run that fires the lowest-index enabled
+// emitter at each step. By the persistence argument of the package
+// comment the run terminates if and only if every run does, and on a
+// deadlock its trace is a minimal counterexample into the one stuck
+// state. The run takes at most four steps per package.
+func (s *System) Check() *Result {
+	st := s.initial()
+	var trace []Action
+	for ei := s.firstEnabled(st); ei >= 0; ei = s.firstEnabled(st) {
+		trace = append(trace, s.apply(st, ei))
 	}
-	res := &Result{Budget: budget, PrunedSegments: s.pruned}
-
-	red := s.runReduced(budget)
-	res.States = red.steps + 1
-	switch {
-	case red.exhausted:
-		res.Verdict = Inconclusive
-		return res
-	case red.terminated:
-		res.Verdict = Terminates
-		return res
-	}
-
-	res.Verdict = Deadlocks
-	res.Trace = red.trace
-	res.NeverFired = s.neverFired(red.final)
-	s.fillStuck(res, red.final)
-
-	if prod := s.exploreProduct(budget); prod.verdict == Deadlocks {
-		res.Trace = prod.trace
-		res.Minimal = true
-		res.States += prod.states
-		s.fillStuck(res, prod.stuck)
-	} else {
-		res.States += prod.states
-	}
-	return res
+	return s.result(trace, st)
 }
 
-// fillStuck records the stuck-state detail — the stalled stage and
-// the emitters blocked in it — mirroring the emulator's deadlock
-// report so the two diagnose identically.
-func (s *System) fillStuck(res *Result, st []byte) {
-	stage := s.stage(st)
-	res.StuckStage = stage
-	res.StuckOrder = s.sch.Stages()[stage].Order
-	res.Undelivered = s.left(st)
-	res.Blocked = nil
+// result is the outcome of a maximal run with the given trace and
+// final state: Terminates when every stage completed, otherwise
+// Deadlocks with the stuck-state detail — the stalled stage and the
+// emitters blocked in it — mirroring the emulator's deadlock report
+// so the two diagnose identically.
+func (s *System) result(trace []Action, final []byte) *Result {
+	if s.done(final) {
+		return &Result{Verdict: Terminates}
+	}
+	stage := s.stage(final)
+	res := &Result{
+		Verdict:     Deadlocks,
+		Trace:       trace,
+		StuckStage:  stage,
+		StuckOrder:  s.sch.Stages()[stage].Order,
+		Undelivered: s.left(final),
+		NeverFired:  s.neverFired(final),
+	}
 	for ei, pi := range s.emitters {
-		pc := s.pc(st, ei)
-		if pc >= len(s.programs[pi]) || s.phase(st, ei) != Waiting {
+		pc := s.pc(final, ei)
+		if pc >= len(s.programs[pi]) || s.phase(final, ei) != Waiting {
 			continue
 		}
 		e := s.programs[pi][pc]
@@ -72,9 +53,10 @@ func (s *System) fillStuck(res *Result, st []byte) {
 			Flow: s.sch.Flow(e.Flow),
 			Pkg:  e.Pkg,
 			Need: e.Need,
-			Have: s.received(st, pi),
+			Have: s.received(final, pi),
 		})
 	}
+	return res
 }
 
 // neverFired lists the emitters still at program entry zero in the
@@ -105,6 +87,16 @@ func (s *System) neverFired(final []byte) []Blocked {
 // enabled, stages incomplete). It validates exported traces: a
 // Deadlocks result's trace must replay to stuck == true.
 func (s *System) Replay(trace []Action) (stuck bool, err error) {
+	st, err := s.replay(trace)
+	if err != nil {
+		return false, err
+	}
+	return s.firstEnabled(st) < 0 && !s.done(st), nil
+}
+
+// replay applies trace to the initial state as Replay describes and
+// returns the state it reaches.
+func (s *System) replay(trace []Action) ([]byte, error) {
 	st := s.initial()
 	for i, a := range trace {
 		fired := false
@@ -112,19 +104,17 @@ func (s *System) Replay(trace []Action) (stuck bool, err error) {
 			if s.procs[pi] != a.Proc || !s.enabled(st, ei) {
 				continue
 			}
-			got, ns := s.step(st, ei)
-			if got != a {
-				return false, fmt.Errorf("automata: replay step %d: %s's enabled transition is %q, trace says %q", i, a.Proc, got, a)
+			if got := s.apply(st, ei); got != a {
+				return nil, fmt.Errorf("automata: replay step %d: %s's enabled transition is %q, trace says %q", i, a.Proc, got, a)
 			}
-			st = ns
 			fired = true
 			break
 		}
 		if !fired {
-			return false, fmt.Errorf("automata: replay step %d: no enabled transition for %s (%q)", i, a.Proc, a)
+			return nil, fmt.Errorf("automata: replay step %d: no enabled transition for %s (%q)", i, a.Proc, a)
 		}
 	}
-	return s.succ(st, nil) == 0 && !s.done(st), nil
+	return st, nil
 }
 
 // FormatTrace renders a trace as numbered lines, one action each,

@@ -3,7 +3,6 @@ package automata
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"segbus/internal/platform"
 	"segbus/internal/psdf"
@@ -16,9 +15,9 @@ import (
 var ErrTooLarge = errors.New("automata: model too large for exact analysis")
 
 // Encoding capacity limits: counters are packed as uint16, so the
-// package and stage counts must fit, with generous headroom below the
-// representable maximum (a model near these limits exhausts any
-// reasonable state budget long before the encoding matters).
+// package and stage counts must fit, with headroom below the
+// representable maximum. They also bound Check's greedy run: at most
+// four steps per package, 2¹⁷ in all.
 const (
 	maxPackages = 1 << 15
 	maxStages   = 1 << 14
@@ -88,7 +87,7 @@ func CompileSchedule(m *psdf.Model, plat *platform.Platform, sch *sched.Schedule
 
 	// Emission programs: the flows in canonical order, one entry per
 	// package, each gated by the schedule's firing gate.
-	s.programs = make([][]Entry, len(procs))
+	s.programs = make([][]entry, len(procs))
 	for i, f := range sch.Flows() {
 		pi, ok := s.procIdx[f.Source]
 		if !ok {
@@ -96,7 +95,7 @@ func CompileSchedule(m *psdf.Model, plat *platform.Platform, sch *sched.Schedule
 		}
 		id := sched.FlowID(i)
 		for pkg := 1; pkg <= sch.Packages(id); pkg++ {
-			s.programs[pi] = append(s.programs[pi], Entry{Flow: id, Pkg: pkg, Need: sch.Need(id, pkg)})
+			s.programs[pi] = append(s.programs[pi], entry{Flow: id, Pkg: pkg, Need: sch.Need(id, pkg)})
 		}
 	}
 	for i := range procs {
@@ -104,31 +103,7 @@ func CompileSchedule(m *psdf.Model, plat *platform.Platform, sch *sched.Schedule
 			s.emitters = append(s.emitters, i)
 		}
 	}
-	sort.Ints(s.emitters)
 
 	s.numStages = sch.NumStages()
-
-	// Symmetry reduction: a segment hosting no emitter is inert — its
-	// bus automaton never leaves its initial state — so it contributes
-	// nothing to the product. The grant rule below only ever inspects
-	// emitters, which prunes such segments implicitly; record how many
-	// for the result's accounting.
-	active := make(map[int]bool)
-	for _, e := range s.emitters {
-		active[s.segOf[e]] = true
-	}
-	if plat != nil {
-		s.pruned = plat.NumSegments() - len(active)
-	}
 	return s, nil
-}
-
-// Program returns process p's emission program (nil for pure sinks).
-// The slice must not be mutated.
-func (s *System) Program(p psdf.ProcessID) []Entry {
-	i, ok := s.procIdx[p]
-	if !ok {
-		return nil
-	}
-	return s.programs[i]
 }

@@ -1,9 +1,15 @@
 package automata
 
+// The breadth-first product search below is the test oracle of Check:
+// it explores every interleaving of the product, so it checks the
+// persistence argument behind the one greedy run instead of relying on
+// it (TestGreedyMatchesProductOracle, FuzzProduct).
+
 // productOutcome is the result of one breadth-first product
 // exploration.
 type productOutcome struct {
-	verdict Verdict  // Terminates, Deadlocks or Inconclusive (budget)
+	decided bool     // false when the state budget ran out first
+	verdict Verdict  // Terminates or Deadlocks (decided only)
 	states  int      // distinct states visited
 	trace   []Action // shortest path into the stuck state (Deadlocks)
 	stuck   []byte   // the stuck state itself (Deadlocks)
@@ -55,20 +61,21 @@ func (s *System) exploreProduct(budget int) productOutcome {
 				next = append(next, nid)
 			})
 			if full {
-				return productOutcome{verdict: Inconclusive, states: len(states)}
+				return productOutcome{states: len(states)}
 			}
 			if n == 0 && !s.done(st) {
 				return productOutcome{
+					decided: true,
 					verdict: Deadlocks,
 					states:  len(states),
 					trace:   s.rebuildTrace(states, id),
-					stuck:   []byte(states[id].key),
+					stuck:   st,
 				}
 			}
 		}
 		frontier = next
 	}
-	return productOutcome{verdict: Terminates, states: len(states)}
+	return productOutcome{decided: true, verdict: Terminates, states: len(states)}
 }
 
 // rebuildTrace walks the predecessor chain from state id back to the
@@ -83,4 +90,21 @@ func (s *System) rebuildTrace(states []stateRec, id int32) []Action {
 		out[len(rev)-1-i] = a
 	}
 	return out
+}
+
+// succ enumerates the successors of st in the fixed deterministic
+// order (ascending emitter index) and returns how many transitions
+// were enabled. A state with zero successors is either done (every
+// stage complete) or stuck — a reachable deadlock.
+func (s *System) succ(st []byte, yield func(a Action, ns []byte)) int {
+	n := 0
+	for ei := range s.emitters {
+		if !s.enabled(st, ei) {
+			continue
+		}
+		n++
+		ns := append([]byte(nil), st...)
+		yield(s.apply(ns, ei), ns)
+	}
+	return n
 }

@@ -1,6 +1,7 @@
 package automata_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,13 +10,13 @@ import (
 	"segbus/internal/dsl"
 )
 
-// FuzzProduct cross-checks the persistence reduction against the
-// exhaustive product exploration on arbitrary documents, seeded from
-// the conformance generator's model family. Wherever both conclude
-// within budget they must agree, every deadlock verdict must ship a
-// trace that replays into a stuck state, and the schedule's fixpoint
-// (sched.Schedule.Drains) must drain exactly when Check concludes
-// Terminates.
+// FuzzProduct holds Check's one greedy run to the exhaustive product
+// search on arbitrary documents, seeded from the conformance
+// generator's model family. Check's verdict must agree with the
+// schedule's fixpoint (sched.Schedule.Drains) on every input, every
+// deadlock trace must replay into a stuck state, and wherever the
+// product search decides within its budget, it must reach the same
+// verdict and the same trace.
 func FuzzProduct(f *testing.F) {
 	gen := conform.NewGenerator(1, nil)
 	for i := 0; i < 12; i++ {
@@ -32,11 +33,9 @@ func FuzzProduct(f *testing.F) {
 		if err != nil {
 			t.Skip() // invalid or oversized input
 		}
-		res := sys.Check(automata.Options{StateBudget: budget})
-		if res.Verdict != automata.Inconclusive {
-			if drains := sys.Schedule().Drains(); drains != (res.Verdict == automata.Terminates) {
-				t.Fatalf("Drains() = %v but Check verdict %v", drains, res.Verdict)
-			}
+		res := sys.Check()
+		if drains := sys.Schedule().Drains(); drains != (res.Verdict == automata.Terminates) {
+			t.Fatalf("Drains() = %v but Check verdict %v", drains, res.Verdict)
 		}
 		if res.Verdict == automata.Deadlocks {
 			stuck, err := sys.Replay(res.Trace)
@@ -48,16 +47,16 @@ func FuzzProduct(f *testing.F) {
 			}
 		}
 
-		terminated, exhausted, _ := sys.RunReduced(budget)
-		verdict, _ := sys.ExploreProduct(budget)
-		if exhausted || verdict == automata.Inconclusive {
-			return // one side ran out of budget; nothing to compare
+		prod, _, _, ok := sys.ProductOracle(budget)
+		if !ok {
+			return // the product search ran out of budget; nothing to compare
 		}
-		if terminated != (verdict == automata.Terminates) {
-			t.Fatalf("reduced run terminated=%v but product verdict=%v", terminated, verdict)
+		if prod.Verdict != res.Verdict {
+			t.Fatalf("Check verdict %v disagrees with product verdict %v", res.Verdict, prod.Verdict)
 		}
-		if res.Verdict != verdict {
-			t.Fatalf("Check verdict %v disagrees with product verdict %v", res.Verdict, verdict)
+		if !slices.Equal(prod.TraceStrings(), res.TraceStrings()) {
+			t.Fatalf("Check trace differs from the product's:\ncheck:\n%sproduct:\n%s",
+				automata.FormatTrace(res.Trace), automata.FormatTrace(prod.Trace))
 		}
 	})
 }

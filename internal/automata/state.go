@@ -10,10 +10,9 @@ import "segbus/internal/psdf"
 //	[4 : 4+2P]             per-process received-package counters
 //	[4+2P : 4+2P+3E]       per-emitter {program counter u16, phase u8}
 //
-// The string conversion of this byte slice is the dedup hash key of
-// the explorers. stage and left (and in fact the received counters)
-// are functions of the emitter vector, so including them does not
-// enlarge the reachable state count — it only makes decoding O(1).
+// stage and left (and in fact the received counters) are functions of
+// the emitter vector, so including them does not enlarge the
+// reachable state count — it only makes decoding O(1).
 const (
 	offStage = 0
 	offLeft  = 2
@@ -77,7 +76,7 @@ func (s *System) segBusy(st []byte, seg, ei int) bool {
 
 // action builds the trace action for emitter ei taking kind on the
 // program entry e.
-func (s *System) action(kind ActionKind, ei int, e Entry) Action {
+func (s *System) action(kind ActionKind, ei int, e entry) Action {
 	pi := s.emitters[ei]
 	return Action{
 		Kind: kind,
@@ -110,63 +109,53 @@ func (s *System) enabled(st []byte, ei int) bool {
 	}
 }
 
-// step applies emitter ei's next transition to a copy of st and
-// returns the action and successor. It must only be called when
-// enabled(st, ei) holds.
-func (s *System) step(st []byte, ei int) (Action, []byte) {
+// apply fires emitter ei's next transition on st in place and
+// returns its action. It must only be called when enabled(st, ei)
+// holds.
+func (s *System) apply(st []byte, ei int) Action {
 	pi := s.emitters[ei]
 	pc := s.pc(st, ei)
 	e := s.programs[pi][pc]
-	ns := make([]byte, len(st))
-	copy(ns, st)
 	off := s.emitterOff(ei)
 	switch s.phase(st, ei) {
 	case Waiting:
-		ns[off+2] = byte(Computing)
-		return s.action(ActStart, ei, e), ns
+		st[off+2] = byte(Computing)
+		return s.action(ActStart, ei, e)
 	case Computing:
-		ns[off+2] = byte(RequestingBus)
-		return s.action(ActRequest, ei, e), ns
+		st[off+2] = byte(RequestingBus)
+		return s.action(ActRequest, ei, e)
 	case RequestingBus:
-		ns[off+2] = byte(Transferring)
-		return s.action(ActGrant, ei, e), ns
+		st[off+2] = byte(Transferring)
+		return s.action(ActGrant, ei, e)
 	}
 	// Transferring: deliver the package, advance the program, bump
 	// the receiver and the stage accounting.
-	setU16(ns, off, pc+1)
-	ns[off+2] = byte(Waiting)
+	setU16(st, off, pc+1)
+	st[off+2] = byte(Waiting)
 	f := s.sch.Flow(e.Flow)
 	if f.Target != psdf.SystemOutput {
 		ti := s.procIdx[f.Target]
-		setU16(ns, offRecv+2*ti, s.received(st, ti)+1)
+		setU16(st, offRecv+2*ti, s.received(st, ti)+1)
 	}
 	left := s.left(st) - 1
 	if left == 0 {
 		stage := s.stage(st) + 1
-		setU16(ns, offStage, stage)
+		setU16(st, offStage, stage)
 		if stage < s.numStages {
 			left = s.sch.StagePackages(stage)
 		}
 	}
-	setU16(ns, offLeft, left)
-	return s.action(ActDeliver, ei, e), ns
+	setU16(st, offLeft, left)
+	return s.action(ActDeliver, ei, e)
 }
 
-// succ enumerates the successors of st in the fixed deterministic
-// order (ascending emitter index) and returns how many transitions
-// were enabled. A state with zero successors is either done (every
-// stage complete) or stuck — a reachable deadlock.
-func (s *System) succ(st []byte, yield func(a Action, ns []byte)) int {
-	n := 0
+// firstEnabled returns the lowest emitter index with an enabled
+// transition in st, or -1 when st is done or stuck.
+func (s *System) firstEnabled(st []byte) int {
 	for ei := range s.emitters {
-		if !s.enabled(st, ei) {
-			continue
-		}
-		n++
-		if yield != nil {
-			a, ns := s.step(st, ei)
-			yield(a, ns)
+		if s.enabled(st, ei) {
+			return ei
 		}
 	}
-	return n
+	return -1
 }

@@ -81,17 +81,14 @@ var oracleList = []*Oracle{
 // counterexample must replay into a stuck product state. The
 // schedule's closed-form fixpoint (sched.Schedule.Drains), which
 // decides the verdict in preflight, must agree with the checker.
-// Models the compiler rejects (the validators own those) and
-// budget-exhausted explorations are out of the oracle's domain.
+// Models the compiler rejects (the validators own those, and the
+// encoding caps refuse oversized ones) are out of the oracle's domain.
 func checkReachability(c *Case) error {
 	sys, err := automata.Compile(c.Doc.Model, c.Doc.Platform)
 	if err != nil {
 		return errSkip
 	}
-	res := sys.Check(automata.Options{})
-	if res.Verdict == automata.Inconclusive {
-		return errSkip
-	}
+	res := sys.Check()
 	if drains := sys.Schedule().Drains(); drains != (res.Verdict == automata.Terminates) {
 		return fmt.Errorf("schedule fixpoint drains=%v disagrees with checker verdict %v", drains, res.Verdict)
 	}

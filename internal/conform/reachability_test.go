@@ -39,17 +39,14 @@ func TestReachabilityAgreement(t *testing.T) {
 
 // agreeOnce compares the checker and the emulator on one model pair,
 // returning 1 when the comparison was conclusive and 0 when the model
-// is outside the checker's domain (invalid or over budget).
+// is outside the checker's domain (invalid or over the encoding caps).
 func agreeOnce(t *testing.T, m *psdf.Model, plat *platform.Platform, deadlocks *int) int {
 	t.Helper()
 	sys, err := automata.Compile(m, plat)
 	if err != nil {
 		return 0
 	}
-	res := sys.Check(automata.Options{})
-	if res.Verdict == automata.Inconclusive {
-		return 0
-	}
+	res := sys.Check()
 	_, emuErr := emulator.Run(m, plat, emulator.Config{})
 	var dl *emulator.DeadlockError
 	emuDeadlock := errors.As(emuErr, &dl)

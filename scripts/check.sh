@@ -52,9 +52,10 @@ go test -run '^$' -fuzz '^FuzzDecodeEstimate$' -fuzztime 15s -fuzzminimizetime 5
 # any section lengths and names that need escaping.
 go test -run '^$' -fuzz '^FuzzReportJSON$' -fuzztime 15s -fuzzminimizetime 5x ./internal/emulator
 
-# Differential fuzz smoke for exact reachability: the persistence
-# reduction must agree with the breadth-first product exploration, and
-# the schedule fixpoint that decides preflight's verdict with both.
+# Differential fuzz smoke for exact reachability: Check's one greedy
+# run must agree with the schedule fixpoint that decides preflight's
+# verdict, and with the test-only breadth-first product search, verdict
+# and trace, wherever that search decides within its budget.
 go test -run '^$' -fuzz '^FuzzProduct$' -fuzztime 15s -fuzzminimizetime 5x ./internal/automata
 
 # Differential fuzz smoke for the shared admission: every DSL document
